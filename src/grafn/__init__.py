@@ -15,7 +15,6 @@ from .data import (
     degree_buckets,
     generate_splits,
     load_dataset,
-    normalize_adjacency,
     write_dataset,
 )
 from .errors import (
@@ -53,7 +52,7 @@ from .objective import (
     supervised_loss,
     total_loss,
 )
-from .sparse import SparseAdjacency
+from .sparse import SparseAdjacency, normalize_adjacency
 from .sparse_features import SparseFeatures
 from .synthetic import random_dataset
 from .tape import Parameter, Tape, Tensor

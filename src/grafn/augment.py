@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset, normalize_adjacency
+from .data import GraphDataset
 from .errors import ConfigError
-from .sparse import SparseAdjacency
+from .sparse import SparseAdjacency, normalize_adjacency
 from .sparse_features import SparseFeatures
 
 
@@ -64,13 +64,9 @@ def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> Spar
         raise ConfigError(f"edge drop probability out of range: {p}")
     if p == 0.0:
         return adj
-    edges = adj.undirected_edge_list()
+    edges, values = adj.upper_triangle()
     keep = rng.random(len(edges)) >= p
-    # values follow the same row-major upper-triangle order as the edge list
-    upper_vals = adj.values[adj._entry_rows() < adj.col_indices]
-    return SparseAdjacency.from_edges(
-        adj.n, [tuple(e) for e in edges[keep]], values=upper_vals[keep]
-    )
+    return SparseAdjacency.from_edges(adj.n, edges[keep], values=values[keep])
 
 
 def augment_view(

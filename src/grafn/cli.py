@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, DivergenceError, GrafnError, Numeric
 from .gradcheck import finite_diff_check
 from .model import build_from_checkpoint, load_checkpoint, save_checkpoint
 from .objective import LossConfig
+from .sparse import normalize_adjacency
 from .tape import Tape
 from .trainer import TrainConfig, fit, prepare_features
 
@@ -161,8 +162,6 @@ def cmd_simsearch(args) -> int:
     params = load_checkpoint(args.checkpoint)
     tape, encoder, head = build_from_checkpoint(params)
     features = prepare_features(ds, cfg)
-    from .data import normalize_adjacency
-
     z = encoder.encode(tape, normalize_adjacency(ds.adj), features, training=False)
     query_nodes = None
     if args.split:

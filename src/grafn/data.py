@@ -1,4 +1,7 @@
-"""Dataset representation, file formats, splits, and adjacency normalization.
+"""Dataset representation, file formats and splits.
+
+The adjacency type and its GCN normalization live in grafn.sparse;
+`normalize_adjacency` is re-exported here for existing callers.
 
 Dataset directory format (text, UTF-8, LF):
     graph.edges   one "src dst" pair per line, 0-indexed, src < dst, each
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .sparse import SparseAdjacency
+from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -51,10 +54,10 @@ class GraphDataset:
             raise DataError(f"label matrix shape {self.labels.shape} unexpected")
         if not np.allclose(self.labels.sum(axis=1), 1.0):
             raise DataError("label rows must be one-hot")
-        rows = self.adj._entry_rows()
-        if np.any(rows == self.adj.col_indices):
-            raise DataError("raw adjacency must not store self-loops")
         self.adj.validate()
+        # degrees() leaves out stored diagonal entries
+        if self.adj.degrees().sum() != self.adj.nnz:
+            raise DataError("raw adjacency must not store self-loops")
 
 
 @dataclass
@@ -326,25 +329,6 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     }
     write_dataset(ds, out_dir, extra_meta={"converter": summary})
     return summary
-
-
-# ---------------------------------------------------------------------------
-# GCN adjacency normalization
-
-
-def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
-    """Self-loops added, then symmetric degree normalization.
-
-    With degrees d_i counted on the loop-augmented graph, entry (i, j)
-    becomes a_ij / sqrt(d_i * d_j); all outputs lie in (0, 1].
-    """
-    import scipy.sparse as sp
-
-    mat = adj.to_scipy() + sp.identity(adj.n, format="csr", dtype=np.float64)
-    deg = np.asarray(mat.sum(axis=1)).reshape(-1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    scaled = sp.diags(inv_sqrt) @ mat @ sp.diags(inv_sqrt)
-    return SparseAdjacency.from_scipy(scaled)
 
 
 # ---------------------------------------------------------------------------

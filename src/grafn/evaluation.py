@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset, degree_buckets, generate_splits, normalize_adjacency
+from .data import GraphDataset, degree_buckets, generate_splits
 from .errors import GrafnError, NumericsError
 from .model import GcnEncoder, LinearHead
+from .sparse import normalize_adjacency
 from .tape import Tape
 from .trainer import RunResult, TrainConfig, fit
 

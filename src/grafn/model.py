@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset, normalize_adjacency
+from .data import GraphDataset
 from .errors import DataError, NumericsError
-from .sparse import SparseAdjacency
+from .sparse import SparseAdjacency, normalize_adjacency
 from .sparse_features import SparseFeatures
 from .tape import Parameter, Tape, Tensor
 
@@ -136,24 +136,32 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """Parameters by name; any malformed content raises DataError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        params: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise DataError(f"{path}: truncated checkpoint")
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise DataError(f"{path}: truncated checkpoint at {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        blob = memoryview(fh.read())
+    magic = bytes(blob[:len(CHECKPOINT_MAGIC)])
+    if magic != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
+    pos = len(magic)
+
+    def take(size: int) -> memoryview:
+        # sizes are read from the file, so check them against what is left
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise DataError(f"{path}: truncated checkpoint at byte {pos}")
+        pos += size
+        return blob[pos - size:pos]
+
+    params: dict[str, np.ndarray] = {}
+    while pos < len(blob):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: parameter name is not UTF-8") from exc
+        rows, cols = struct.unpack("<II", take(8))
+        raw = take(rows * cols * 8)
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     return params
 
 

@@ -1,13 +1,16 @@
-"""CSR adjacency structure for undirected graphs.
+"""Undirected graph adjacency as one canonical scipy CSR, and its GCN
+renormalization.
 
-Values are float64 and non-negative; the sparsity pattern is symmetric.
-The raw adjacency carries no self-loops; loops enter only through GCN
-normalization (see grafn.data.normalize_adjacency).
+The CSR is symmetric with non-negative float64 values and strictly
+increasing column indices per row. Only this module reads its index arrays.
+Degrees, edge counts and the self-loop check count stored entries, so an
+explicit zero counts. A dataset's raw adjacency has no self-loops; they
+enter only through normalize_adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,117 +18,107 @@ import scipy.sparse as sp
 from .errors import NumericsError
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseAdjacency:
-    """Symmetric sparse matrix in CSR form."""
+    """Symmetric sparse matrix held as one canonical CSR (see module docs)."""
 
-    n: int
-    row_offsets: np.ndarray  # int64, length n+1
-    col_indices: np.ndarray  # int64, length nnz, strictly increasing per row
-    values: np.ndarray       # float64, length nnz
-    _csr_cache: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    csr: sp.csr_matrix
+
+    @classmethod
+    def from_edges(cls, n: int, edges, values=None) -> "SparseAdjacency":
+        """Build from (src, dst) pairs, each undirected edge once.
+
+        Both directions are stored. Duplicate pairs, in either orientation,
+        collapse to one entry that keeps the first value seen; without
+        `values` every edge weighs 1.0.
+        """
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64).reshape(-1, 2)
+        vals = np.ones(len(pairs)) if values is None else np.asarray(values, dtype=np.float64)
+        if vals.shape != (len(pairs),):
+            raise NumericsError(f"{vals.size} values given for {len(pairs)} edges")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = np.flatnonzero((lo < 0) | (hi >= n))
+        if bad.size:
+            raise NumericsError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range for n={n}")
+        # np.unique reports each pair's first occurrence
+        _, first = np.unique(lo * n + hi, return_index=True)
+        lo, hi, vals = lo[first], hi[first], vals[first]
+        off = lo != hi
+        rows, cols = np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]])
+        data = np.concatenate([vals, vals[off]])
+        # scipy sorts each row's column indices; no duplicates are left to sum
+        return cls(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return len(self.col_indices)
+        return self.csr.nnz
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.csr.data
+
+    def to_dense(self) -> np.ndarray:
+        return self.csr.toarray()
 
     def _entry_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.csr.indptr))
+
+    def degrees(self) -> np.ndarray:
+        """Number of stored off-diagonal entries per row (raw degree)."""
+        rows = self._entry_rows()
+        return np.bincount(rows[rows != self.csr.indices], minlength=self.n)
 
     @property
     def num_undirected_edges(self) -> int:
         """Off-diagonal stored entries counted once per undirected edge."""
-        n_diag = int(np.count_nonzero(self._entry_rows() == self.col_indices))
-        return (self.nnz - n_diag) // 2
+        return int(self.degrees().sum()) // 2
 
-    @classmethod
-    def from_edges(cls, n: int, edges, values=None) -> "SparseAdjacency":
-        """Build from an iterable of (src, dst) pairs, each undirected edge once.
-
-        Both CSR directions are materialized; duplicate pairs collapse to a
-        single entry keeping the first value seen.
-        """
-        if values is None:
-            entries = {}
-            for i, j in edges:
-                entries[(min(i, j), max(i, j))] = 1.0
-        else:
-            entries = {}
-            for (i, j), v in zip(edges, values):
-                entries.setdefault((min(i, j), max(i, j)), float(v))
-        rows, cols, vals = [], [], []
-        for (i, j), v in entries.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise NumericsError(f"edge ({i},{j}) out of range for n={n}")
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-        mat = sp.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-        ).tocsr()
-        mat.sort_indices()
-        return cls(
-            n=n,
-            row_offsets=mat.indptr.astype(np.int64),
-            col_indices=mat.indices.astype(np.int64),
-            values=mat.data.astype(np.float64),
-        )
-
-    @classmethod
-    def from_scipy(cls, mat: sp.spmatrix) -> "SparseAdjacency":
-        csr = sp.csr_matrix(mat)
-        csr.sort_indices()
-        return cls(
-            n=csr.shape[0],
-            row_offsets=csr.indptr.astype(np.int64),
-            col_indices=csr.indices.astype(np.int64),
-            values=csr.data.astype(np.float64),
-        )
-
-    def to_scipy(self) -> sp.csr_matrix:
-        if self._csr_cache is None:
-            self._csr_cache = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-            )
-        return self._csr_cache
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def degrees(self) -> np.ndarray:
-        """Number of stored off-diagonal entries per row (raw degree)."""
-        deg = np.diff(self.row_offsets).astype(np.int64)
-        diag = self._entry_rows() == self.col_indices
-        if diag.any():
-            deg -= np.bincount(self._entry_rows()[diag], minlength=self.n).astype(np.int64)
-        return deg
+    def upper_triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entries with src < dst in row-major order: (m, 2) edges, m values."""
+        rows, cols = self._entry_rows(), self.csr.indices
+        upper = rows < cols
+        return np.column_stack([rows[upper], cols[upper]]), self.csr.data[upper]
 
     def undirected_edge_list(self) -> np.ndarray:
         """Off-diagonal edges as an (m, 2) array with src < dst, row-major order."""
-        rows = self._entry_rows()
-        keep = rows < self.col_indices
-        return np.column_stack([rows[keep], self.col_indices[keep]])
+        return self.upper_triangle()[0]
 
     def validate(self) -> None:
         """Check the structural invariants; raises NumericsError on violation."""
-        if len(self.row_offsets) != self.n + 1:
-            raise NumericsError("row_offsets length must be n+1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
-            raise NumericsError("row_offsets endpoints inconsistent with nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise NumericsError("row_offsets must be monotone")
-        if self.nnz and (self.col_indices.min() < 0 or self.col_indices.max() >= self.n):
-            raise NumericsError("col_indices out of range")
-        for i in range(self.n):
-            row = self.col_indices[self.row_offsets[i]:self.row_offsets[i + 1]]
-            if len(row) > 1 and np.any(np.diff(row) <= 0):
-                raise NumericsError(f"row {i}: col_indices not strictly increasing")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        if len(indptr) != self.n + 1:
+            raise NumericsError("indptr length must be n+1")
+        if indptr[0] != 0 or indptr[-1] != len(indices) or len(data) != len(indices):
+            raise NumericsError("indptr endpoints inconsistent with nnz")
+        if np.any(np.diff(indptr) < 0):
+            raise NumericsError("indptr must be monotone")
+        if len(indices) and (indices.min() < 0 or indices.max() >= self.n):
+            raise NumericsError("column indices out of range")
+        rows = self._entry_rows()
+        unsorted = np.flatnonzero((rows[1:] == rows[:-1]) & (np.diff(indices) <= 0))
+        if unsorted.size:
+            raise NumericsError(f"row {rows[unsorted[0]]}: column indices not strictly increasing")
+        if not np.all(np.isfinite(data)) or np.any(data < 0):
             raise NumericsError("values must be finite and non-negative")
-        mat = self.to_scipy()
-        if (mat != mat.T).nnz != 0:
+        if (self.csr != self.csr.T).nnz != 0:
             raise NumericsError("adjacency must be symmetric")
+
+
+def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
+    """GCN renormalization D^-1/2 (A + I) D^-1/2.
+
+    With degrees d_i counted on the loop-augmented graph, each entry a_ij
+    of A + I becomes a_ij / sqrt(d_i * d_j); all outputs lie in (0, 1] and
+    zeros are not stored.
+    """
+    mat = adj.csr + sp.identity(adj.n, format="csr", dtype=np.float64)
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(mat.sum(axis=1)).reshape(-1))
+    rows = np.repeat(np.arange(adj.n), np.diff(mat.indptr))
+    mat.data = inv_sqrt[rows] * mat.data * inv_sqrt[mat.indices]
+    mat.eliminate_zeros()
+    return SparseAdjacency(mat)

@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._origin = None  # (tape, step) for op outputs; None for leaves
+        # (weakref to tape, step) for op outputs, None for leaves; a strong ref
+        # would form a cycle with the tape's records that only the GC frees
+        self._origin = None
 
     @property
     def shape(self):
@@ -101,7 +104,7 @@ class Tape:
         out = Tensor(out_data)
         if any(t.requires_grad for t in inputs):
             out.requires_grad = True
-            out._origin = (self, self._step)
+            out._origin = (weakref.ref(self), self._step)
             self._records.append((out, backprop))
         return out
 
@@ -113,7 +116,9 @@ class Tape:
         """
         if loss.data.size != 1:
             raise NumericsError(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._origin is not None and loss._origin != (self, self._step):
+        if loss._origin is not None and (
+            loss._origin[0]() is not self or loss._origin[1] != self._step
+        ):
             raise NumericsError("loss was not produced on this tape's current step")
         for out, _ in self._records:
             out.grad = None
@@ -169,7 +174,7 @@ class Tape:
             raise NumericsError(
                 f"spmm shape mismatch: sparse ({adj.n},{adj.n}) @ dense {x.data.shape}"
             )
-        mat = adj.to_scipy()
+        mat = adj.csr
         out_data = mat @ x.data
 
         def backprop(g, mat=mat, x=x):

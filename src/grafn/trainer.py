@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import augment_view
-from .data import GraphDataset, SplitSpec, normalize_adjacency
+from .data import GraphDataset, SplitSpec
 from .errors import ConfigError, DivergenceError, NumericsError
 from .model import GcnEncoder, LinearHead, init_params, predict
 from .objective import (
@@ -26,6 +26,7 @@ from .objective import (
     supervised_loss,
     total_loss,
 )
+from .sparse import normalize_adjacency
 from .sparse_features import SparseFeatures
 from .tape import Tape, Tensor
 

@@ -186,6 +186,13 @@ def test_simsearch_k_too_large_exits_4(data_dir, trained_dir):
     assert run(["simsearch", ckpt, data_dir, "--k", "60", *FAST]) == 4
 
 
+def test_simsearch_corrupt_checkpoint_exits_3(data_dir, trained_dir, tmp_path):
+    blob = open(os.path.join(trained_dir, "checkpoint.bin"), "rb").read()
+    ckpt = tmp_path / "cut.bin"
+    ckpt.write_bytes(blob[:6 + 4 + len("enc.w1") + 5])  # cut inside the shape
+    assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 3
+
+
 def test_simsearch_deterministic(data_dir, trained_dir, capsys):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     outputs = []

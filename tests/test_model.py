@@ -1,5 +1,11 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grafn import (
     DataError,
@@ -208,6 +214,43 @@ def test_checkpoint_truncation_rejected(tmp_path):
         fh.write(blob[:-8])
     with pytest.raises(DataError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob, match", [
+    (b"GRAFN1" + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2), "truncated"),
+    (b"GRAFN1" + struct.pack("<I", 1) + b"\xff" + struct.pack("<II", 0, 0), "UTF-8"),
+    (b"GRAFN1" + struct.pack("<I", 1) + b"w" + struct.pack("<II", 2**32 - 1, 2**32 - 1),
+     "truncated"),
+], ids=["header-cut-in-shape", "name-not-utf8", "shape-beyond-file"])
+def test_checkpoint_corrupt_header_rejected(tmp_path, blob, match):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_corruption_raises_only_data_error(data):
+    params = {"enc.w1": np.arange(6.0).reshape(2, 3), "head.b": np.ones((1, 2))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save_checkpoint(path, params)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                at = data.draw(st.integers(0, len(blob) - 1), label="at")
+                blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            loaded = load_checkpoint(path)
+        except DataError:
+            return
+        assert all(isinstance(v, np.ndarray) and v.ndim == 2 for v in loaded.values())
 
 
 def test_build_from_checkpoint_requires_all_params():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from grafn import NumericsError, SparseAdjacency, SparseFeatures
 
@@ -35,13 +36,45 @@ def test_degrees_exclude_self_loops():
     np.testing.assert_array_equal(adj.degrees(), [1, 2, 1])
 
 
+def test_from_edges_rejects_values_length_mismatch():
+    with pytest.raises(NumericsError, match="2 values given for 3 edges"):
+        SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3)], values=[1.0, 2.0])
+
+
+def raw_adjacency(n, indptr, indices, data):
+    """Adjacency over CSR arrays taken as given, without scipy's checks."""
+    csr = sp.csr_matrix((n, n))
+    csr.indptr = np.asarray(indptr)
+    csr.indices = np.asarray(indices)
+    csr.data = np.asarray(data, dtype=np.float64)
+    return SparseAdjacency(csr)
+
+
+def test_validate_accepts_raw_arrays_of_a_valid_graph():
+    raw_adjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 2.0, 2.0]).validate()
+
+
+@pytest.mark.parametrize("indptr, indices, data, match", [
+    ([0, 1], [1], [1.0], "indptr length"),
+    ([1, 1, 1], [1], [1.0], "endpoints"),
+    ([0, 1, 2], [1, 0, 1], [1.0, 1.0, 1.0], "endpoints"),
+    ([0, 2, 1], [1], [1.0], "monotone"),
+    ([0, 1, 2], [2, 0], [1.0, 1.0], "out of range"),
+    ([0, 1, 2], [-1, 0], [1.0, 1.0], "out of range"),
+    ([0, 0, 2], [1, 0], [1.0, 1.0], "row 1: column indices not strictly increasing"),
+    ([0, 2, 2], [1, 1], [1.0, 1.0], "row 0: column indices not strictly increasing"),
+    ([0, 1, 2], [1, 0], [np.inf, np.inf], "finite"),
+    ([0, 1, 2], [1, 0], [1.0, 2.0], "symmetric"),
+], ids=["indptr-length", "indptr-start", "indptr-end", "indptr-monotone",
+        "column-high", "column-negative", "columns-unsorted", "columns-duplicate",
+        "non-finite", "asymmetric-values"])
+def test_validate_catches_malformed_arrays(indptr, indices, data, match):
+    with pytest.raises(NumericsError, match=match):
+        raw_adjacency(2, indptr, indices, data).validate()
+
+
 def test_validate_catches_asymmetry():
-    adj = SparseAdjacency(
-        n=2,
-        row_offsets=np.array([0, 1, 1]),
-        col_indices=np.array([1]),
-        values=np.array([1.0]),
-    )
+    adj = SparseAdjacency(sp.csr_matrix(([1.0], [1], [0, 1, 1]), shape=(2, 2)))
     with pytest.raises(NumericsError, match="symmetric"):
         adj.validate()
 

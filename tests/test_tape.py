@@ -1,6 +1,9 @@
 """Kernel-level tests: forward values against independent oracles, backward
 against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +201,27 @@ def test_backward_rejects_stale_graph():
     tape.new_step()
     with pytest.raises(NumericsError, match="not produced on this tape"):
         tape.backward(loss)
+
+
+def test_backward_rejects_loss_from_another_tape():
+    other = Tape()
+    loss = other.sum(other.parameter(np.ones((2, 2)), "w"))
+    tape = Tape()
+    tape.parameter(np.ones((2, 2)), "w")
+    with pytest.raises(NumericsError, match="not produced on this tape"):
+        tape.backward(loss)
+
+
+def test_dropped_tape_frees_its_outputs_without_cyclic_gc():
+    gc.disable()
+    try:
+        tape = Tape()
+        out = tape.relu(tape.parameter(np.ones((3, 3)), "w"))
+        freed = weakref.ref(out.data)
+        del tape, out
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_duplicate_parameter_name_rejected():
