@@ -7,7 +7,8 @@ label-guided consistency between soft-nearest-neighbor class assignments
 supervised cross-entropy on the handful of labeled nodes.
 """
 
-from .augment import AugmentConfig, augment_view, drop_edges, mask_features
+from .augment import augment_view, drop_edges, mask_features
+from .config import TrainConfig
 from .data import (
     GraphDataset,
     SplitSpec,
@@ -42,7 +43,6 @@ from .model import (
     save_checkpoint,
 )
 from .objective import (
-    LossConfig,
     SupportSet,
     confident_set,
     label_consistency_loss,
@@ -60,7 +60,6 @@ from .trainer import (
     AdamState,
     RunResult,
     StepLosses,
-    TrainConfig,
     adam_update,
     build_step_loss,
     evaluate_accuracy,

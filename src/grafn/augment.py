@@ -1,14 +1,13 @@
 """Stochastic graph augmentation: feature masking and edge dropping.
 
 Each training step draws a fresh weak view and strong view, distinguished
-only by their masking/dropping probabilities. Dropping acts on the raw
+only by their masking/dropping probabilities (the `weak_*` and `strong_*`
+fields of `TrainConfig`). Dropping acts on the raw
 adjacency; normalization runs afterwards so degrees reflect the thinned
 graph (an isolated node keeps its self-loop).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +15,6 @@ from .data import GraphDataset
 from .errors import ConfigError
 from .sparse import SparseAdjacency, normalize_adjacency
 from .sparse_features import SparseFeatures
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    p_feature_mask: float
-    p_edge_drop: float
-    mask_mode: str = "column"  # "column": per feature dimension; "entry": per cell
-
-    def __post_init__(self):
-        for name in ("p_feature_mask", "p_edge_drop"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"{name} must be in [0,1), got {p}")
-        if self.mask_mode not in ("column", "entry"):
-            raise ConfigError(f"mask_mode must be 'column' or 'entry', got {self.mask_mode!r}")
 
 
 def mask_features(
@@ -71,16 +55,18 @@ def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> Spar
 
 def augment_view(
     ds: GraphDataset,
-    cfg: AugmentConfig,
+    p_feature_mask: float,
+    p_edge_drop: float,
+    mask_mode: str,
     rng: np.random.Generator,
     features: np.ndarray | SparseFeatures | None = None,
 ) -> tuple[SparseAdjacency, np.ndarray | SparseFeatures]:
     """One stochastic view: masked features plus the renormalized adjacency
-    of the edge-dropped graph.
+    of the edge-dropped graph. The mask is drawn before the edge drop.
 
     `features` overrides ds.features (e.g. a row-normalized or sparse copy).
     """
     x = ds.features if features is None else features
-    x_view = mask_features(x, cfg.p_feature_mask, rng, mode=cfg.mask_mode)
-    adj_view = drop_edges(ds.adj, cfg.p_edge_drop, rng)
+    x_view = mask_features(x, p_feature_mask, rng, mode=mask_mode)
+    adj_view = drop_edges(ds.adj, p_edge_drop, rng)
     return normalize_adjacency(adj_view), x_view

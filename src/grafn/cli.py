@@ -9,6 +9,7 @@ flows from explicit seeds. Exit codes: 0 success, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,20 +17,14 @@ import sys
 import numpy as np
 
 from . import evaluation
-from .config import (
-    apply_overrides,
-    build_train_config,
-    effective_config_dict,
-    load_config_file,
-)
+from .config import TrainConfig, apply_overrides, build_train_config, load_config_file
 from .data import SplitSpec, convert_content_cites, generate_splits, load_dataset
 from .errors import ConfigError, DataError, DivergenceError, GrafnError, NumericsError
 from .gradcheck import finite_diff_check
-from .model import build_from_checkpoint, load_checkpoint, save_checkpoint
-from .objective import LossConfig
+from .model import build_from_checkpoint, init_params, load_checkpoint, save_checkpoint
 from .sparse import normalize_adjacency
 from .tape import Tape
-from .trainer import TrainConfig, fit, prepare_features
+from .trainer import build_step_loss, fit, prepare_features
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -52,10 +47,20 @@ def _load_effective_config(args) -> TrainConfig:
     for flag in ("lambda1", "lambda2", "seed"):
         if getattr(args, flag, None) is not None:
             values[flag] = getattr(args, flag)
-    try:
-        return build_train_config(values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_train_config(values)
+
+
+def _load_model(path: str, ds):
+    """Checkpoint encoder and head, checked against the dataset's feature
+    and class counts."""
+    tape, encoder, head = build_from_checkpoint(load_checkpoint(path))
+    features, classes = encoder.w1.data.shape[0], head.w.data.shape[1]
+    if (features, classes) != (ds.num_features, ds.class_count):
+        raise DataError(
+            f"{path}: checkpoint expects {features} features and {classes} classes; "
+            f"dataset {ds.name} has {ds.num_features} and {ds.class_count}"
+        )
+    return tape, encoder, head
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -118,12 +123,12 @@ def cmd_train(args) -> int:
         payload = {
             "error": str(exc),
             "loss_history": [list(r) for r in exc.history],
-            "effective_config": effective_config_dict(cfg),
+            "effective_config": dataclasses.asdict(cfg),
         }
         _write_json(run_path, payload)
         raise
     payload = result.to_dict()
-    payload["effective_config"] = effective_config_dict(cfg)
+    payload["effective_config"] = dataclasses.asdict(cfg)
     payload["dataset"] = ds.name
     payload["checkpoint"] = ckpt_path
     _write_json(run_path, payload)
@@ -147,7 +152,7 @@ def cmd_bench(args) -> int:
         fh.write("\n".join(report.csv_lines()))
         fh.write("\n")
     payload = report.to_dict()
-    payload["effective_config"] = effective_config_dict(cfg)
+    payload["effective_config"] = dataclasses.asdict(cfg)
     _write_json(os.path.join(args.out, "bench.json"), payload)
     print(
         f"{ds.name} rate={args.rate}: mean test accuracy "
@@ -159,8 +164,7 @@ def cmd_bench(args) -> int:
 def cmd_simsearch(args) -> int:
     cfg = _load_effective_config(args)
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    params = load_checkpoint(args.checkpoint)
-    tape, encoder, head = build_from_checkpoint(params)
+    tape, encoder, head = _load_model(args.checkpoint, ds)
     features = prepare_features(ds, cfg)
     z = encoder.encode(tape, normalize_adjacency(ds.adj), features, training=False)
     query_nodes = None
@@ -179,7 +183,7 @@ def cmd_simsearch(args) -> int:
             "checkpoint": args.checkpoint,
             "query_nodes": "test" if args.split else "all",
             "results": results,
-            "effective_config": effective_config_dict(cfg),
+            "effective_config": dataclasses.asdict(cfg),
         })
     return 0
 
@@ -187,8 +191,7 @@ def cmd_simsearch(args) -> int:
 def cmd_degree_report(args) -> int:
     cfg = _load_effective_config(args)
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    params = load_checkpoint(args.checkpoint)
-    _, encoder, head = build_from_checkpoint(params)
+    _, encoder, head = _load_model(args.checkpoint, ds)
     with open(args.split, encoding="utf-8") as fh:
         split = SplitSpec.from_json(fh.read())
     boundaries = [int(b) for b in args.boundaries.split(",")]
@@ -200,7 +203,7 @@ def cmd_degree_report(args) -> int:
         acc = "null" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
         print(f"degree {row['degree_range']:>8}: accuracy {acc} (n={row['population']})")
     if args.out:
-        report["effective_config"] = effective_config_dict(cfg)
+        report["effective_config"] = dataclasses.asdict(cfg)
         _write_json(args.out, report)
     return 0
 
@@ -213,15 +216,13 @@ def cmd_ablate(args) -> int:
         row = table["variants"][name]
         print(f"{name:>22}: {row['mean_test_accuracy']:.4f} +- {row['std_test_accuracy']:.4f}")
     if args.out:
-        table["effective_config"] = effective_config_dict(cfg)
+        table["effective_config"] = dataclasses.asdict(cfg)
         _write_json(args.out, table)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import init_params
     from .synthetic import random_dataset
-    from .trainer import build_step_loss
 
     ds = random_dataset(args.size, num_classes=3, num_features=12,
                         p_in=0.3, p_out=0.1, seed=args.seed)
@@ -233,24 +234,22 @@ def cmd_gradcheck(args) -> int:
         rng0 = np.random.default_rng(args.seed)
         encoder, head = init_params(tape, ds.num_features, 6, 6, ds.class_count,
                                     0.2, rng0)
-        loss_cfg = LossConfig(nu=nu, lambda1=1.0, lambda2=1.0)
+        cfg = TrainConfig(nu=nu)
+        frozen: list = []
 
-        # the stop-gradient target is a constant of the step: freeze it at
-        # the base parameters before differencing
-        cap: dict = {}
-        build_step_loss(
-            tape, ds, split, encoder, head, loss_cfg,
-            np.random.default_rng(args.seed + 1), capture=cap,
-        )
+        def target(tape, p, frozen=frozen):
+            # the stop-gradient target is a constant of the step: record it
+            # at the base parameters, then hold it while differencing
+            if not frozen:
+                frozen.append(tape.detach(p))
+            return frozen[0]
 
-        def build(cap=cap, loss_cfg=loss_cfg, encoder=encoder, head=head):
-            rng = np.random.default_rng(args.seed + 1)
-            total, _ = build_step_loss(
-                tape, ds, split, encoder, head, loss_cfg, rng,
-                target_override=cap["p_target"],
-            )
+        def build(cfg=cfg, target=target, encoder=encoder, head=head):
+            total, _ = build_step_loss(tape, ds, split, encoder, head, cfg,
+                                       np.random.default_rng(args.seed + 1), target=target)
             return total
 
+        build()
         err = finite_diff_check(tape, build, eps=1e-5)
         worst = max(worst, err)
         print(f"nu={nu}: max relative gradient error {err:.3e}")

@@ -1,17 +1,74 @@
-"""Flat key=value configuration files.
+"""The training configuration: one flat record whose fields are the keys
+of the key=value file format, so each default is written once.
 
 Grammar: one `key = value` per line; `#` starts a comment; blank lines are
-ignored. Values are typed per key (int, float, bool, or enumerated string);
-unknown keys are rejected. Command-line `--set key=value` overrides win
-over the file.
+ignored. Values are typed by the field (int, float, bool, or str); unknown
+keys are rejected. Command-line `--set key=value` overrides win over the
+file. The flat view echoed into artifacts is `dataclasses.asdict`.
 """
 
-from __future__ import annotations
+import dataclasses
+import math
+from dataclasses import dataclass
 
-from .augment import AugmentConfig
 from .errors import ConfigError
-from .objective import LossConfig
-from .trainer import TrainConfig
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    hidden_dim: int = 128
+    embed_dim: int = 128
+    learning_rate: float = 0.001
+    weight_decay: float = 5e-4
+    dropout: float = 0.5
+    max_epochs: int = 500
+    seed: int = 1
+    feature_row_normalize: bool = True
+    snn_inference: bool = False      # classify by clean-graph SNN argmax
+    sparse_features: str = "auto"    # "auto" | "on" | "off"
+    tau: float = 0.1
+    nu: float = 0.9
+    lambda1: float = 1.0
+    lambda2: float = 1.0
+    weak_feature_mask: float = 0.3
+    weak_edge_drop: float = 0.3
+    strong_feature_mask: float = 0.5
+    strong_edge_drop: float = 0.5
+    mask_mode: str = "column"        # "column": per feature dimension; "entry": per cell
+    cross_view_supports: bool = False  # anchors vs supports from the other view
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.learning_rate <= 0.0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("hidden_dim", "embed_dim", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sparse_features not in ("auto", "on", "off"):
+            raise ConfigError(f"sparse_features must be auto/on/off, got {self.sparse_features}")
+        if self.tau <= 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 <= self.nu <= 1.0:
+            raise ConfigError(f"nu must be in [0,1], got {self.nu}")
+        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
+            raise ConfigError("loss coefficients must be non-negative")
+        for name in ("dropout", "weak_feature_mask", "weak_edge_drop",
+                     "strong_feature_mask", "strong_edge_drop"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ConfigError(f"{name} must be in [0,1), got {p}")
+        if (
+            self.weak_feature_mask > self.strong_feature_mask
+            or self.weak_edge_drop > self.strong_edge_drop
+        ):
+            raise ConfigError("weak augmentation must not exceed the strong one")
+        if self.mask_mode not in ("column", "entry"):
+            raise ConfigError(f"mask_mode must be 'column' or 'entry', got {self.mask_mode!r}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -20,31 +77,27 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_SCHEMA = {
-    "hidden_dim": int,
-    "embed_dim": int,
-    "learning_rate": float,
-    "weight_decay": float,
-    "dropout": float,
-    "max_epochs": int,
-    "seed": int,
-    "feature_row_normalize": _parse_bool,
-    "snn_inference": _parse_bool,
-    "sparse_features": str,
-    "tau": float,
-    "nu": float,
-    "lambda1": float,
-    "lambda2": float,
-    "weak_feature_mask": float,
-    "weak_edge_drop": float,
-    "strong_feature_mask": float,
-    "strong_edge_drop": float,
-    "mask_mode": str,
-    "cross_view_supports": _parse_bool,
-}
+_PARSERS = {f.name: _parse_bool if f.type is bool else f.type
+            for f in dataclasses.fields(TrainConfig)}
+
+
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """One `key = value` string to its key and typed value."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, _, raw = item.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if not raw:
+        raise ConfigError(f"{where}: empty value for {key!r}")
+    try:
+        return key, _PARSERS[key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -52,22 +105,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if not raw:
-            raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
-        try:
-            values[key] = _SCHEMA[key](raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if stripped:
+            key, value = _parse_item(stripped, f"{source}:{lineno}")
+            values[key] = value
     return values
 
 
@@ -83,68 +123,12 @@ def apply_overrides(values: dict, overrides: list[str]) -> dict:
     """Merge `key=value` strings (e.g. from repeated --set flags), flags winning."""
     merged = dict(values)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            merged[key] = _SCHEMA[key](raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+        key, value = _parse_item(item, "--set")
+        merged[key] = value
     return merged
 
 
 def build_train_config(values: dict) -> TrainConfig:
-    """Assemble the nested config dataclasses; dataclass validators run here."""
-    v = dict(values)
-    mask_mode = v.pop("mask_mode", "column")
-    weak = AugmentConfig(
-        p_feature_mask=v.pop("weak_feature_mask", 0.3),
-        p_edge_drop=v.pop("weak_edge_drop", 0.3),
-        mask_mode=mask_mode,
-    )
-    strong = AugmentConfig(
-        p_feature_mask=v.pop("strong_feature_mask", 0.5),
-        p_edge_drop=v.pop("strong_edge_drop", 0.5),
-        mask_mode=mask_mode,
-    )
-    loss = LossConfig(
-        tau=v.pop("tau", 0.1),
-        nu=v.pop("nu", 0.9),
-        lambda1=v.pop("lambda1", 1.0),
-        lambda2=v.pop("lambda2", 1.0),
-        weak_aug=weak,
-        strong_aug=strong,
-        cross_view_supports=v.pop("cross_view_supports", False),
-    )
-    return TrainConfig(loss=loss, **v)
-
-
-def effective_config_dict(cfg: TrainConfig) -> dict:
-    """Flat view of a TrainConfig, matching the file keys."""
-    return {
-        "hidden_dim": cfg.hidden_dim,
-        "embed_dim": cfg.embed_dim,
-        "learning_rate": cfg.learning_rate,
-        "weight_decay": cfg.weight_decay,
-        "dropout": cfg.dropout,
-        "max_epochs": cfg.max_epochs,
-        "seed": cfg.seed,
-        "feature_row_normalize": cfg.feature_row_normalize,
-        "snn_inference": cfg.snn_inference,
-        "sparse_features": cfg.sparse_features,
-        "tau": cfg.loss.tau,
-        "nu": cfg.loss.nu,
-        "lambda1": cfg.loss.lambda1,
-        "lambda2": cfg.loss.lambda2,
-        "weak_feature_mask": cfg.loss.weak_aug.p_feature_mask,
-        "weak_edge_drop": cfg.loss.weak_aug.p_edge_drop,
-        "strong_feature_mask": cfg.loss.strong_aug.p_feature_mask,
-        "strong_edge_drop": cfg.loss.strong_aug.p_edge_drop,
-        "mask_mode": cfg.loss.weak_aug.mask_mode,
-        "cross_view_supports": cfg.loss.cross_view_supports,
-    }
+    """The record for parsed values; unset keys keep their defaults and the
+    field validators run here."""
+    return TrainConfig(**values)

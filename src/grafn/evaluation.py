@@ -15,11 +15,14 @@ from .errors import GrafnError, NumericsError
 from .model import GcnEncoder, LinearHead
 from .sparse import normalize_adjacency
 from .tape import Tape
-from .trainer import RunResult, TrainConfig, fit
+from .config import TrainConfig
+from .trainer import RunResult, fit
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str)
+    """First 16 hex digits of the SHA-256 of the flat record as sorted-key
+    JSON: readers can recompute it from an artifact's `effective_config`."""
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -204,7 +207,12 @@ def degree_accuracy_report(
     return {"boundaries": list(boundaries), "buckets": rows}
 
 
-ABLATION_VARIANTS = ("full", "no_label_consistency", "no_node_consistency", "supervised_only")
+ABLATION_VARIANTS = {
+    "full": {},
+    "no_label_consistency": dict(lambda2=0.0),
+    "no_node_consistency": dict(lambda1=0.0),
+    "supervised_only": dict(lambda1=0.0, lambda2=0.0),
+}
 
 
 def ablation_suite(
@@ -216,20 +224,9 @@ def ablation_suite(
 ) -> dict:
     """Benchmark the loss-coefficient ablations over identical splits and
     training seeds, isolating the objective change."""
-    variants = {
-        "full": base_cfg,
-        "no_label_consistency": dataclasses.replace(
-            base_cfg, loss=dataclasses.replace(base_cfg.loss, lambda2=0.0)
-        ),
-        "no_node_consistency": dataclasses.replace(
-            base_cfg, loss=dataclasses.replace(base_cfg.loss, lambda1=0.0)
-        ),
-        "supervised_only": dataclasses.replace(
-            base_cfg, loss=dataclasses.replace(base_cfg.loss, lambda1=0.0, lambda2=0.0)
-        ),
-    }
     table = {}
-    for name, cfg in variants.items():
+    for name, lambdas in ABLATION_VARIANTS.items():
+        cfg = dataclasses.replace(base_cfg, **lambdas)
         report = run_benchmark(ds, label_rate, n_splits, cfg, base_seed)
         table[name] = report.to_dict()
     return {

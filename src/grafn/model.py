@@ -165,17 +165,23 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     return params
 
 
-def build_from_checkpoint(params: dict[str, np.ndarray], dropout: float = 0.0
-                          ) -> tuple[Tape, GcnEncoder, LinearHead]:
-    """Reconstruct encoder and head on a fresh tape from checkpoint arrays."""
+def build_from_checkpoint(params: dict[str, np.ndarray]) -> tuple[Tape, GcnEncoder, LinearHead]:
+    """Reconstruct encoder and head on a fresh tape from checkpoint arrays;
+    shapes that do not chain (F x H, H x D, D x C, 1 x C) raise DataError."""
     for key in ("enc.w1", "enc.w2", "head.w", "head.b"):
         if key not in params:
             raise DataError(f"checkpoint missing parameter {key!r}")
+    w1, w2, w, b = (params[k].shape for k in ("enc.w1", "enc.w2", "head.w", "head.b"))
+    if w1[1] != w2[0] or w2[1] != w[0] or b != (1, w[1]):
+        raise DataError(
+            f"checkpoint parameter shapes do not chain: enc.w1 {w1}, enc.w2 {w2}, "
+            f"head.w {w}, head.b {b}"
+        )
     tape = Tape()
     encoder = GcnEncoder(
         w1=tape.parameter(params["enc.w1"], "enc.w1"),
         w2=tape.parameter(params["enc.w2"], "enc.w2"),
-        dropout=dropout,
+        dropout=0.0,
     )
     head = LinearHead(
         w=tape.parameter(params["head.w"], "head.w"),

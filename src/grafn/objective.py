@@ -3,44 +3,20 @@ assignment, confidence-filtered label-guided consistency, supervised
 cross-entropy, and their weighted combination.
 
 The prediction distribution comes from the strongly augmented view, the
-target distribution from the weakly augmented one; the target is always
-tape-detached so gradients only flow through the prediction branch.
+target distribution from the weakly augmented one. `label_consistency_loss`
+rejects a target that is not tape-detached, so gradients only flow through
+the prediction branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig
 from .data import SplitSpec
 from .errors import ConfigError, NumericsError
 from .tape import Tape, Tensor
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = 0.1
-    nu: float = 0.9
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    weak_aug: AugmentConfig = field(default_factory=lambda: AugmentConfig(0.3, 0.3))
-    strong_aug: AugmentConfig = field(default_factory=lambda: AugmentConfig(0.5, 0.5))
-    cross_view_supports: bool = False  # anchors vs supports from the other view
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise ConfigError(f"nu must be in [0,1], got {self.nu}")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ConfigError("loss coefficients must be non-negative")
-        if (
-            self.weak_aug.p_feature_mask > self.strong_aug.p_feature_mask
-            or self.weak_aug.p_edge_drop > self.strong_aug.p_edge_drop
-        ):
-            raise ConfigError("weak augmentation must not exceed the strong one")
 
 
 @dataclass
@@ -141,8 +117,8 @@ def supervised_loss(tape: Tape, logits: Tensor, labels: np.ndarray,
 
 
 def total_loss(tape: Tape, l_nc: Tensor, l_lc: Tensor, l_sup: Tensor,
-               cfg: LossConfig) -> Tensor:
+               lambda1: float, lambda2: float) -> Tensor:
     """lambda1 * L_NC + lambda2 * L_LC + L_sup."""
     return tape.add(
-        tape.add(tape.scale(l_nc, cfg.lambda1), tape.scale(l_lc, cfg.lambda2)), l_sup
+        tape.add(tape.scale(l_nc, lambda1), tape.scale(l_lc, lambda2)), l_sup
     )

@@ -8,16 +8,17 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .augment import augment_view
+from .config import TrainConfig
 from .data import GraphDataset, SplitSpec
-from .errors import ConfigError, DivergenceError, NumericsError
+from .errors import DivergenceError, NumericsError
 from .model import GcnEncoder, LinearHead, init_params, predict
 from .objective import (
-    LossConfig,
     confident_set,
     label_consistency_loss,
     node_consistency_loss,
@@ -33,33 +34,6 @@ from .tape import Tape, Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    hidden_dim: int = 128
-    embed_dim: int = 128
-    learning_rate: float = 0.001
-    weight_decay: float = 5e-4
-    dropout: float = 0.5
-    max_epochs: int = 500
-    loss: LossConfig = field(default_factory=LossConfig)
-    seed: int = 1
-    feature_row_normalize: bool = True
-    snn_inference: bool = False      # classify by clean-graph SNN argmax
-    sparse_features: str = "auto"    # "auto" | "on" | "off"
-
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.hidden_dim < 1 or self.embed_dim < 1:
-            raise ConfigError("hidden_dim and embed_dim must be >= 1")
-        if self.sparse_features not in ("auto", "on", "off"):
-            raise ConfigError(f"sparse_features must be auto/on/off, got {self.sparse_features}")
 
 
 @dataclass
@@ -131,13 +105,11 @@ def build_step_loss(
     split: SplitSpec,
     encoder: GcnEncoder,
     head: LinearHead,
-    loss_cfg: LossConfig,
+    cfg: TrainConfig,
     rng: np.random.Generator,
     features=None,
     unlabeled: np.ndarray | None = None,
-    detach_target: bool = True,
-    target_override: np.ndarray | None = None,
-    capture: dict | None = None,
+    target: Callable[[Tape, Tensor], Tensor] | None = None,
 ) -> tuple[Tensor, StepLosses]:
     """Assemble the full objective for one step on a fresh tape graph.
 
@@ -145,58 +117,38 @@ def build_step_loss(
     randomness): weak view, strong view, weak encode, strong encode, support
     sample.
 
-    `detach_target=False` exists only for stop-gradient verification.
-    `target_override` substitutes a frozen target distribution: finite
+    `target(tape, p)` maps the live weak-view SNN distribution `p` to the
+    L_LC target; the default is `tape.detach(p)`. Gradient checks pass a
+    hook that records the target and then returns it frozen, because finite
     differences of the step objective must hold the stop-gradient branch
-    constant, exactly as the optimizer sees it. Pass a dict as `capture` to
-    receive the computed target and confident set.
+    constant, exactly as the optimizer sees it.
     """
     label_ids = ds.label_ids()
     if unlabeled is None:
         unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     tape.new_step()
 
-    adj_w, x_w = augment_view(ds, loss_cfg.weak_aug, rng, features=features)
-    adj_s, x_s = augment_view(ds, loss_cfg.strong_aug, rng, features=features)
+    adj_w, x_w = augment_view(ds, cfg.weak_feature_mask, cfg.weak_edge_drop,
+                              cfg.mask_mode, rng, features=features)
+    adj_s, x_s = augment_view(ds, cfg.strong_feature_mask, cfg.strong_edge_drop,
+                              cfg.mask_mode, rng, features=features)
     z_w = encoder.encode(tape, adj_w, x_w, training=True, rng=rng)
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
 
     l_nc = node_consistency_loss(tape, z_s, z_w)
 
     support = sample_support(split, label_ids, ds.class_count, rng)
-    pred_source, target_source = (z_w, z_s) if loss_cfg.cross_view_supports else (z_s, z_w)
-    p_pred = snn_distribution(tape, z_s, pred_source, support, loss_cfg.tau)
-    p_target_live = snn_distribution(tape, z_w, target_source, support, loss_cfg.tau)
-    if target_override is not None:
-        p_target = Tensor(target_override)
-    elif detach_target:
-        p_target = tape.detach(p_target_live)
-    else:
-        p_target = p_target_live
-    v_conf = confident_set(p_target.data, loss_cfg.nu, unlabeled)
-    if capture is not None:
-        capture["p_target"] = p_target.data.copy()
-        capture["v_conf"] = v_conf.copy()
-    if detach_target:
-        l_lc = label_consistency_loss(
-            tape, p_pred, p_target, ds.labels, split.labeled, v_conf
-        )
-    else:
-        l_lc = tape.cross_entropy_rows(
-            ds.labels[split.labeled], tape.gather_rows(p_pred, split.labeled)
-        )
-        if len(v_conf):
-            l_lc = tape.add(
-                tape.cross_entropy_rows(
-                    tape.gather_rows(p_target, v_conf), tape.gather_rows(p_pred, v_conf)
-                ),
-                l_lc,
-            )
+    pred_source, target_source = (z_w, z_s) if cfg.cross_view_supports else (z_s, z_w)
+    p_pred = snn_distribution(tape, z_s, pred_source, support, cfg.tau)
+    p_live = snn_distribution(tape, z_w, target_source, support, cfg.tau)
+    p_target = tape.detach(p_live) if target is None else target(tape, p_live)
+    v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
+    l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
 
     logits = head.classify(tape, z_s)
     l_sup = supervised_loss(tape, logits, ds.labels, split.labeled)
 
-    total = total_loss(tape, l_nc, l_lc, l_sup, loss_cfg)
+    total = total_loss(tape, l_nc, l_lc, l_sup, cfg.lambda1, cfg.lambda2)
     parts = StepLosses(nc=l_nc.item(), lc=l_lc.item(), sup=l_sup.item(),
                        total=total.item())
     return total, parts
@@ -217,7 +169,7 @@ def train_step(
 ) -> StepLosses:
     """Forward, backward, Adam update; returns the step's loss components."""
     total, parts = build_step_loss(
-        tape, ds, split, encoder, head, cfg.loss, rng,
+        tape, ds, split, encoder, head, cfg, rng,
         features=features, unlabeled=unlabeled,
     )
     tape.backward(total)
@@ -267,7 +219,7 @@ def _predict_classes(adj_norm, features, encoder, head, cfg, split, label_ids,
     tape = Tape()
     z = encoder.encode(tape, adj_norm, features, training=False)
     if cfg.snn_inference:
-        return snn_predict(z.data, split.labeled, label_ids, num_classes, cfg.loss.tau)
+        return snn_predict(z.data, split.labeled, label_ids, num_classes, cfg.tau)
     logits = head.classify(tape, z)
     return np.argmax(logits.data, axis=1)
 

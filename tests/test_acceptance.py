@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from grafn import (
-    LossConfig,
     Tape,
     TrainConfig,
     fit,
@@ -32,6 +31,7 @@ from grafn import (
     snn_distribution,
     write_dataset,
 )
+from grafn import trainer
 from grafn.cli import main as cli_main
 from grafn.config import build_train_config, load_config_file
 from grafn.evaluation import ablation_suite, degree_accuracy_report, run_benchmark
@@ -147,7 +147,21 @@ def test_criterion_02_snn_matches_brute_force():
 # criterion 3: stop-gradient semantics
 
 
-def test_criterion_03_stop_gradient_semantics():
+def undetached_label_consistency(tape, p_pred, p_target, labels, labeled, v_conf):
+    """Reference L_LC whose SNN target rows stay on the tape: the terms of
+    `label_consistency_loss`, without its stop-gradient guard."""
+    l_lc = tape.cross_entropy_rows(labels[labeled], tape.gather_rows(p_pred, labeled))
+    if len(v_conf):
+        l_lc = tape.add(
+            tape.cross_entropy_rows(
+                tape.gather_rows(p_target, v_conf), tape.gather_rows(p_pred, v_conf)
+            ),
+            l_lc,
+        )
+    return l_lc
+
+
+def test_criterion_03_stop_gradient_semantics(monkeypatch):
     ds = random_dataset(20, num_classes=3, num_features=12, p_in=0.3, p_out=0.1, seed=2)
     split = generate_splits(ds, 0.15, 1, 2)[0]
 
@@ -185,14 +199,19 @@ def test_criterion_03_stop_gradient_semantics():
     # (b) regression on the full step objective: removing the detachment
     # changes the parameter gradients
     grads = {}
-    for variant, detach in (("detached", True), ("live", False)):
+    for variant in ("detached", "live"):
         t2 = Tape()
         enc2, head2 = init_params(t2, ds.num_features, 6, 6, ds.class_count, 0.1,
                                   np.random.default_rng(5))
-        total, _ = build_step_loss(
-            t2, ds, split, enc2, head2, LossConfig(nu=0.0),
-            np.random.default_rng(6), detach_target=detach,
-        )
+        with monkeypatch.context() as m:
+            target = None
+            if variant == "live":
+                m.setattr(trainer, "label_consistency_loss", undetached_label_consistency)
+                target = lambda tape, p: p
+            total, _ = build_step_loss(
+                t2, ds, split, enc2, head2, TrainConfig(nu=0.0),
+                np.random.default_rng(6), target=target,
+            )
         t2.backward(total)
         grads[variant] = {n: p.grad.copy() for n, p in t2.parameters.items()}
     max_diff = max(
@@ -225,9 +244,7 @@ def cora_benchmarks(cora_ds):
     cfg = shipped_config("cora.cfg")
     start = time.time()
     full = run_benchmark(cora_ds, 0.005, 20, cfg, base_seed=0, jobs=TEST_JOBS)
-    sup_cfg = dataclasses.replace(
-        cfg, loss=dataclasses.replace(cfg.loss, lambda1=0.0, lambda2=0.0)
-    )
+    sup_cfg = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0)
     sup = run_benchmark(cora_ds, 0.005, 20, sup_cfg, base_seed=0, jobs=TEST_JOBS)
     return full, sup, time.time() - start
 
@@ -248,9 +265,7 @@ def test_criterion_04_cora_half_percent(cora_benchmarks):
 def test_criterion_05_citeseer_one_percent(citeseer_ds):
     cfg = shipped_config("citeseer.cfg")
     full = run_benchmark(citeseer_ds, 0.01, 20, cfg, base_seed=0, jobs=TEST_JOBS)
-    sup_cfg = dataclasses.replace(
-        cfg, loss=dataclasses.replace(cfg.loss, lambda1=0.0, lambda2=0.0)
-    )
+    sup_cfg = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0)
     sup = run_benchmark(citeseer_ds, 0.01, 20, sup_cfg, base_seed=0, jobs=TEST_JOBS)
     gap = full.mean - sup.mean
     report(
@@ -268,7 +283,7 @@ def test_criterion_06_cora_ablation_ordering(cora_ds, cora_benchmarks):
     means = {}
     for name, lam in (("no_label_consistency", dict(lambda2=0.0)),
                       ("no_node_consistency", dict(lambda1=0.0))):
-        variant = dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, **lam))
+        variant = dataclasses.replace(cfg, **lam)
         means[name] = run_benchmark(cora_ds, 0.005, 20, variant, base_seed=0,
                                     jobs=TEST_JOBS).mean
     ok = all(full.mean >= m + 0.01 for m in means.values())
@@ -304,7 +319,7 @@ def test_criterion_08_cora_low_degree_gap(cora_ds):
     split = generate_splits(cora_ds, 0.005, 1, base_seed=0)[0]
     accs = {}
     for name, lam in (("grafn", {}), ("supervised", dict(lambda1=0.0, lambda2=0.0))):
-        variant = dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, **lam))
+        variant = dataclasses.replace(cfg, **lam)
         result = fit(cora_ds, split, variant)
         _, encoder, head = build_from_checkpoint(result.params)
         rep = degree_accuracy_report(
@@ -431,9 +446,7 @@ def synthetic_supervised_run(synthetic_ds, synthetic_split):
     from tests.conftest import synth_train_config
 
     cfg = synth_train_config()
-    sup_cfg = dataclasses.replace(
-        cfg, loss=dataclasses.replace(cfg.loss, lambda1=0.0, lambda2=0.0)
-    )
+    sup_cfg = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0)
     return sup_cfg, fit(synthetic_ds, synthetic_split, sup_cfg)
 
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import (
-    AugmentConfig,
     ConfigError,
     SparseAdjacency,
     SparseFeatures,
+    TrainConfig,
     augment_view,
     drop_edges,
     mask_features,
@@ -98,7 +98,7 @@ def test_drop_edges_output_always_symmetric(seed):
 
 def test_augment_view_noop_config(synthetic_ds):
     adj_view, x_view = augment_view(
-        synthetic_ds, AugmentConfig(0.0, 0.0), np.random.default_rng(0)
+        synthetic_ds, 0.0, 0.0, "column", np.random.default_rng(0)
     )
     np.testing.assert_array_equal(x_view, synthetic_ds.features)
     np.testing.assert_allclose(
@@ -108,15 +108,14 @@ def test_augment_view_noop_config(synthetic_ds):
 
 
 def test_augment_view_seeds_differ(synthetic_ds):
-    cfg = AugmentConfig(0.3, 0.3)
-    a = augment_view(synthetic_ds, cfg, np.random.default_rng(1))
-    b = augment_view(synthetic_ds, cfg, np.random.default_rng(2))
+    a = augment_view(synthetic_ds, 0.3, 0.3, "column", np.random.default_rng(1))
+    b = augment_view(synthetic_ds, 0.3, 0.3, "column", np.random.default_rng(2))
     assert not np.array_equal(a[1], b[1]) or a[0].nnz != b[0].nnz
 
 
 def test_augment_view_preserves_shape_and_invariants(synthetic_ds):
-    cfg = AugmentConfig(0.3, 0.3)
-    adj_view, x_view = augment_view(synthetic_ds, cfg, np.random.default_rng(3))
+    adj_view, x_view = augment_view(synthetic_ds, 0.3, 0.3, "column",
+                                    np.random.default_rng(3))
     assert x_view.shape == synthetic_ds.features.shape
     assert adj_view.n == synthetic_ds.num_nodes
     adj_view.validate()
@@ -126,9 +125,8 @@ def test_augment_view_preserves_shape_and_invariants(synthetic_ds):
 def test_augment_view_normalizes_after_dropping():
     """Degrees entering normalization must reflect the thinned graph."""
     ds = random_dataset(30, num_classes=3, num_features=8, p_in=0.4, p_out=0.2, seed=1)
-    cfg = AugmentConfig(0.0, 0.5)
     rng = np.random.default_rng(77)
-    adj_view, _ = augment_view(ds, cfg, rng)
+    adj_view, _ = augment_view(ds, 0.0, 0.5, "column", rng)
     oracle = normalize_adjacency(drop_edges(ds.adj, 0.5, np.random.default_rng(77)))
     np.testing.assert_allclose(adj_view.to_dense(), oracle.to_dense(), atol=1e-14)
 
@@ -147,9 +145,12 @@ def test_isolated_node_keeps_self_loop():
 
 
 def test_augment_config_validation():
-    with pytest.raises(ConfigError):
-        AugmentConfig(1.0, 0.0)
-    with pytest.raises(ConfigError):
-        AugmentConfig(0.0, -0.1)
-    with pytest.raises(ConfigError):
-        AugmentConfig(0.1, 0.1, mask_mode="rows")
+    with pytest.raises(ConfigError, match="strong_feature_mask"):
+        TrainConfig(strong_feature_mask=1.0)
+    with pytest.raises(ConfigError, match="weak_edge_drop"):
+        TrainConfig(weak_edge_drop=-0.1)
+    with pytest.raises(ConfigError, match="mask_mode"):
+        TrainConfig(mask_mode="rows")
+    # called directly, the mask rejects the unknown mode too
+    with pytest.raises(ConfigError, match="mask mode"):
+        mask_features(np.ones((2, 3)), 0.1, np.random.default_rng(0), mode="rows")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -119,6 +120,19 @@ def test_train_unknown_config_key_exits_2(data_dir, one_split, tmp_path):
                 "--set", "warp_speed=9"]) == 2
 
 
+@pytest.mark.parametrize("setting", [
+    "learning_rate=nan", "tau=nan", "lambda1=nan", "weight_decay=nan",
+    "learning_rate=inf", "weight_decay=-5",
+])
+def test_train_bad_float_setting_exits_2_before_training(data_dir, one_split, tmp_path,
+                                                         capsys, setting):
+    out = tmp_path / "r"
+    assert run(["train", data_dir, one_split, "--out", str(out), *FAST,
+                "--set", setting]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_train_missing_dataset_exits_3(one_split, tmp_path):
     assert run(["train", str(tmp_path / "nowhere"), one_split,
                 "--out", str(tmp_path / "r")]) == 3
@@ -161,6 +175,15 @@ def test_bench_csv_shape_and_determinism(data_dir, tmp_path):
     assert report["mean_test_accuracy"] == pytest.approx(
         float(np.mean(report["test_accuracies"])), abs=1e-12
     )
+
+
+def test_bench_fingerprint_is_hash_of_effective_config(data_dir, tmp_path):
+    out = tmp_path / "b"
+    assert run(["bench", data_dir, "--rate", "0.1", "--n", "1", "--out", str(out),
+                *FAST]) == 0
+    report = json.loads((out / "bench.json").read_text())
+    blob = json.dumps(report["effective_config"], sort_keys=True)
+    assert report["config_fingerprint"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +235,25 @@ def test_simsearch_test_only_queries(data_dir, trained_dir, one_split, tmp_path)
     assert payload["query_nodes"] == "test"
 
 
+@pytest.fixture(scope="module")
+def mismatched_dirs(tmp_path_factory):
+    """Datasets of synth60's size whose feature or class count differs."""
+    root = tmp_path_factory.mktemp("mismatch")
+    dirs = {}
+    for name, classes, features in (("features7", 3, 7), ("classes4", 4, 24)):
+        ds = random_dataset(60, num_classes=classes, num_features=features, p_in=0.2,
+                            p_out=0.03, feature_signal=0.5, seed=6, name=name)
+        dirs[name] = str(root / name)
+        write_dataset(ds, dirs[name])
+    return dirs
+
+
+def test_simsearch_feature_mismatch_exits_3(trained_dir, mismatched_dirs, capsys):
+    ckpt = os.path.join(trained_dir, "checkpoint.bin")
+    assert run(["simsearch", ckpt, mismatched_dirs["features7"], "--k", "5", *FAST]) == 3
+    assert "24 features" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # degree-report
 
@@ -226,6 +268,14 @@ def test_degree_report_cli(data_dir, trained_dir, one_split, tmp_path, capsys):
     assert payload["boundaries"] == [2, 4, 7]
     assert len(payload["buckets"]) == 4
     assert "degree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["features7", "classes4"])
+def test_degree_report_dataset_mismatch_exits_3(trained_dir, mismatched_dirs, one_split,
+                                                name, capsys):
+    ckpt = os.path.join(trained_dir, "checkpoint.bin")
+    assert run(["degree-report", ckpt, mismatched_dirs[name], one_split, *FAST]) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

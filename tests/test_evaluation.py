@@ -164,9 +164,7 @@ def test_ablation_rows_share_splits_and_reduce_correctly(bench_ds):
     # the supervised-only row is definitionally a zero-coefficient benchmark
     import dataclasses
 
-    sup_cfg = dataclasses.replace(
-        cfg, loss=dataclasses.replace(cfg.loss, lambda1=0.0, lambda2=0.0)
-    )
+    sup_cfg = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0)
     direct = run_benchmark(bench_ds, 0.1, 2, sup_cfg, base_seed=4)
     assert variants["supervised_only"]["test_accuracies"] == direct.accuracies
 

@@ -256,3 +256,18 @@ def test_checkpoint_corruption_raises_only_data_error(data):
 def test_build_from_checkpoint_requires_all_params():
     with pytest.raises(DataError, match="missing parameter"):
         build_from_checkpoint({"enc.w1": np.zeros((2, 2))})
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("enc.w2", (4, 3)),    # rows differ from enc.w1's 3 columns
+    ("head.w", (2, 2)),    # rows differ from enc.w2's 3 columns
+    ("head.b", (1, 3)),    # columns differ from head.w's 2 classes
+    ("head.b", (2, 2)),    # not a single row
+])
+def test_build_from_checkpoint_rejects_unchained_shapes(name, shape):
+    params = {"enc.w1": np.zeros((5, 3)), "enc.w2": np.zeros((3, 3)),
+              "head.w": np.zeros((3, 2)), "head.b": np.zeros((1, 2))}
+    build_from_checkpoint(params)
+    params[name] = np.zeros(shape)
+    with pytest.raises(DataError, match="do not chain"):
+        build_from_checkpoint(params)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from grafn import (
     ConfigError,
     NumericsError,
-    LossConfig,
     SplitSpec,
     SupportSet,
     Tape,
+    TrainConfig,
     confident_set,
     label_consistency_loss,
     node_consistency_loss,
@@ -18,7 +18,6 @@ from grafn import (
     supervised_loss,
     total_loss,
 )
-from grafn.augment import AugmentConfig
 from grafn.tape import Tensor
 
 
@@ -49,20 +48,21 @@ def make_support(indices, labels_of, c):
 
 
 # ---------------------------------------------------------------------------
-# LossConfig
+# loss settings of TrainConfig
 
 
 def test_loss_config_validation():
     with pytest.raises(ConfigError, match="tau"):
-        LossConfig(tau=0.0)
+        TrainConfig(tau=0.0)
     with pytest.raises(ConfigError, match="nu"):
-        LossConfig(nu=1.5)
+        TrainConfig(nu=1.5)
     with pytest.raises(ConfigError, match="non-negative"):
-        LossConfig(lambda1=-0.5)
+        TrainConfig(lambda1=-0.5)
     with pytest.raises(ConfigError, match="weak"):
-        LossConfig(weak_aug=AugmentConfig(0.6, 0.6), strong_aug=AugmentConfig(0.5, 0.5))
+        TrainConfig(weak_feature_mask=0.6, weak_edge_drop=0.6,
+                    strong_feature_mask=0.5, strong_edge_drop=0.5)
     # the unfiltered limit nu=0 is a valid configuration
-    assert LossConfig(nu=0.0).nu == 0.0
+    assert TrainConfig(nu=0.0).nu == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +351,16 @@ def test_supervised_loss_empty_labeled_set():
 def test_total_loss_zero_lambdas_equals_supervised():
     tape = Tape()
     nc, lc, sup = Tensor(np.asarray(0.7)), Tensor(np.asarray(1.3)), Tensor(np.asarray(2.1))
-    cfg = LossConfig(lambda1=0.0, lambda2=0.0)
-    assert total_loss(tape, nc, lc, sup, cfg).item() == 2.1
+    assert total_loss(tape, nc, lc, sup, 0.0, 0.0).item() == 2.1
 
 
 def test_total_loss_unit_sublosses():
     tape = Tape()
     one = lambda: Tensor(np.asarray(1.0))
-    cfg = LossConfig(lambda1=1.0, lambda2=1.0)
-    assert total_loss(tape, one(), one(), one(), cfg).item() == pytest.approx(3.0)
+    assert total_loss(tape, one(), one(), one(), 1.0, 1.0).item() == pytest.approx(3.0)
 
 
 def test_total_loss_ablation_coefficients():
     tape = Tape()
     nc, lc, sup = Tensor(np.asarray(0.5)), Tensor(np.asarray(0.25)), Tensor(np.asarray(1.0))
-    cfg = LossConfig(lambda1=1.0, lambda2=0.0)
-    assert total_loss(tape, nc, lc, sup, cfg).item() == pytest.approx(1.5)
+    assert total_loss(tape, nc, lc, sup, 1.0, 0.0).item() == pytest.approx(1.5)

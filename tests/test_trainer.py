@@ -5,7 +5,6 @@ from grafn import (
     AdamState,
     ConfigError,
     DivergenceError,
-    LossConfig,
     NumericsError,
     Tape,
     TrainConfig,
@@ -18,7 +17,7 @@ from grafn import (
     random_dataset,
     train_step,
 )
-from grafn.augment import AugmentConfig
+from grafn.tape import Tensor
 from grafn.trainer import StepLosses, prepare_features, row_normalize, snn_predict
 from tests.conftest import make_dataset
 
@@ -97,8 +96,8 @@ def test_step_with_zero_lambdas_is_supervised_step(tiny_setup):
     tape = Tape()
     rng = np.random.default_rng(2)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
-    loss_cfg = LossConfig(lambda1=0.0, lambda2=0.0)
-    total, parts = build_step_loss(tape, ds, split, encoder, head, loss_cfg, rng)
+    cfg = TrainConfig(lambda1=0.0, lambda2=0.0)
+    total, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
     assert parts.total == parts.sup
     assert total.item() == parts.sup
 
@@ -108,8 +107,8 @@ def test_step_total_satisfies_combination_identity(tiny_setup):
     tape = Tape()
     rng = np.random.default_rng(3)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
-    loss_cfg = LossConfig(lambda1=0.5, lambda2=2.0)
-    _, parts = build_step_loss(tape, ds, split, encoder, head, loss_cfg, rng)
+    cfg = TrainConfig(lambda1=0.5, lambda2=2.0)
+    _, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
     assert parts.total == (0.5 * parts.nc + 2.0 * parts.lc) + parts.sup
     assert all(np.isfinite(v) for v in (parts.nc, parts.lc, parts.sup, parts.total))
 
@@ -123,15 +122,20 @@ def test_step_gradcheck_full_objective(tiny_setup):
     encoder, head = init_params(
         tape, ds.num_features, 6, 6, ds.class_count, 0.2, np.random.default_rng(5)
     )
-    loss_cfg = LossConfig(nu=0.0)
-    cap = {}
-    build_step_loss(tape, ds, split, encoder, head, loss_cfg,
-                    np.random.default_rng(6), capture=cap)
+    cfg = TrainConfig(nu=0.0)
+    frozen = {}
+
+    def record(tape, p):
+        frozen["p"] = p.data.copy()
+        return tape.detach(p)
+
+    build_step_loss(tape, ds, split, encoder, head, cfg,
+                    np.random.default_rng(6), target=record)
 
     def build():
         total, _ = build_step_loss(
-            tape, ds, split, encoder, head, loss_cfg, np.random.default_rng(6),
-            target_override=cap["p_target"],
+            tape, ds, split, encoder, head, cfg, np.random.default_rng(6),
+            target=lambda tape, p: Tensor(frozen["p"]),
         )
         return total
 
@@ -152,17 +156,16 @@ def ten_node_setup():
 
 
 def test_node_consistency_gradcheck_ten_nodes():
-    from grafn.augment import AugmentConfig, augment_view
+    from grafn.augment import augment_view
     from grafn.gradcheck import finite_diff_check
     from grafn.objective import node_consistency_loss
 
     ds, split, tape, encoder, head = ten_node_setup()
-    cfg = AugmentConfig(0.2, 0.2)
 
     def build():
         rng = np.random.default_rng(14)
-        adj_a, x_a = augment_view(ds, cfg, rng)
-        adj_b, x_b = augment_view(ds, cfg, rng)
+        adj_a, x_a = augment_view(ds, 0.2, 0.2, "column", rng)
+        adj_b, x_b = augment_view(ds, 0.2, 0.2, "column", rng)
         z_a = encoder.encode(tape, adj_a, x_a, training=False)
         z_b = encoder.encode(tape, adj_b, x_b, training=False)
         return node_consistency_loss(tape, z_a, z_b)
@@ -194,8 +197,6 @@ def test_label_consistency_gradcheck_ten_nodes_all_confident():
     def build():
         z = encoder.encode(tape, adj, ds.features, training=False)
         p_pred = snn_distribution(tape, z, z, support, 0.1)
-        from grafn.tape import Tensor
-
         return label_consistency_loss(
             tape, p_pred, Tensor(p_target_frozen), ds.labels, split.labeled, v_conf
         )
@@ -254,8 +255,7 @@ def test_fit_history_satisfies_combination_identity(tiny_setup):
 
 def test_fit_cross_view_supports_mode(tiny_setup):
     ds, split = tiny_setup
-    loss = LossConfig(cross_view_supports=True)
-    res = fit(ds, split, small_cfg(max_epochs=4, loss=loss))
+    res = fit(ds, split, small_cfg(max_epochs=4, cross_view_supports=True))
     assert len(res.loss_history) == 4
 
 
