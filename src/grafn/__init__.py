@@ -62,7 +62,6 @@ from .trainer import (
     StepLosses,
     adam_update,
     build_step_loss,
-    evaluate_accuracy,
     fit,
     train_step,
 )

@@ -21,7 +21,7 @@ from .config import TrainConfig, apply_overrides, build_train_config, load_confi
 from .data import SplitSpec, convert_content_cites, generate_splits, load_dataset
 from .errors import ConfigError, DataError, DivergenceError, GrafnError, NumericsError
 from .gradcheck import finite_diff_check
-from .model import build_from_checkpoint, init_params, load_checkpoint, save_checkpoint
+from .model import build_from_checkpoint, init_params, load_checkpoint, predict, save_checkpoint
 from .sparse import normalize_adjacency
 from .tape import Tape
 from .trainer import build_step_loss, fit, prepare_features
@@ -61,6 +61,17 @@ def _load_model(path: str, ds):
             f"dataset {ds.name} has {ds.num_features} and {ds.class_count}"
         )
     return tape, encoder, head
+
+
+def _load_split(path: str, ds) -> SplitSpec:
+    """The split file, checked against the dataset's node count."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            split = SplitSpec.from_json(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read split file {path}: {exc}") from exc
+    split.validate(ds.num_nodes)
+    return split
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -112,8 +123,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_effective_config(args)
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    with open(args.split, encoding="utf-8") as fh:
-        split = SplitSpec.from_json(fh.read())
+    split = _load_split(args.split, ds)
     os.makedirs(args.out, exist_ok=True)
     run_path = os.path.join(args.out, "run.json")
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
@@ -169,8 +179,7 @@ def cmd_simsearch(args) -> int:
     z = encoder.encode(tape, normalize_adjacency(ds.adj), features, training=False)
     query_nodes = None
     if args.split:
-        with open(args.split, encoding="utf-8") as fh:
-            query_nodes = SplitSpec.from_json(fh.read()).test
+        query_nodes = _load_split(args.split, ds).test
     results = {}
     for k in args.k:
         results[f"sim@{k}"] = evaluation.sim_at_k(
@@ -190,15 +199,16 @@ def cmd_simsearch(args) -> int:
 
 def cmd_degree_report(args) -> int:
     cfg = _load_effective_config(args)
+    try:
+        boundaries = [int(b) for b in args.boundaries.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--boundaries must be comma-separated integers: {exc}") from exc
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
     _, encoder, head = _load_model(args.checkpoint, ds)
-    with open(args.split, encoding="utf-8") as fh:
-        split = SplitSpec.from_json(fh.read())
-    boundaries = [int(b) for b in args.boundaries.split(",")]
-    report = evaluation.degree_accuracy_report(
-        ds, encoder, head, split.test, boundaries,
-        features=prepare_features(ds, cfg),
-    )
+    split = _load_split(args.split, ds)
+    pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
+                   cfg, split.labeled, ds.label_ids())
+    report = evaluation.degree_accuracy_report(ds, pred, split.test, boundaries)
     for row in report["buckets"]:
         acc = "null" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
         print(f"degree {row['degree_range']:>8}: accuracy {acc} (n={row['population']})")
@@ -224,6 +234,8 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .synthetic import random_dataset
 
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     ds = random_dataset(args.size, num_classes=3, num_features=12,
                         p_in=0.3, p_out=0.1, seed=args.seed)
     splits = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)

@@ -49,6 +49,8 @@ class TrainConfig:
         for name in ("hidden_dim", "embed_dim", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sparse_features not in ("auto", "on", "off"):
             raise ConfigError(f"sparse_features must be auto/on/off, got {self.sparse_features}")
         if self.tau <= 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-exported)
 
 
@@ -82,17 +82,30 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
+        """Parse a split file; every index entry must be a JSON integer."""
         try:
             obj = json.loads(text)
-            return cls(
-                labeled=np.asarray(obj["labeled"], dtype=np.int64),
-                val=np.asarray(obj["val"], dtype=np.int64),
-                test=np.asarray(obj["test"], dtype=np.int64),
-                seed=int(obj["seed"]),
-                label_rate=float(obj["label_rate"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            sets = {}
+            for key in ("labeled", "val", "test"):
+                if not set(map(type, obj[key])) <= {int}:  # bool and float fail
+                    raise ValueError(f"{key!r} entries must be integers")
+                sets[key] = np.asarray(obj[key], dtype=np.int64)
+            return cls(**sets, seed=int(obj["seed"]), label_rate=float(obj["label_rate"]))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed split file: {exc}") from exc
+
+    def validate(self, num_nodes: int) -> None:
+        """Raise DataError unless every set is non-empty with indices in
+        [0, num_nodes) and no node appears twice across the sets."""
+        for name in ("labeled", "val", "test"):
+            idx = getattr(self, name)
+            if len(idx) == 0:
+                raise DataError(f"split set {name!r} is empty")
+            if idx.min() < 0 or idx.max() >= num_nodes:
+                raise DataError(f"split set {name!r} has an index outside [0, {num_nodes})")
+        nodes = np.concatenate([self.labeled, self.val, self.test])
+        if np.unique(nodes).size != nodes.size:
+            raise DataError("split sets share or repeat a node")
 
 
 def _round_half_up(x: float) -> int:
@@ -344,6 +357,10 @@ def generate_splits(
     class, the remainder apportioned by class frequency (largest-remainder,
     ties toward lower class index); split i is seeded with base_seed + i.
     """
+    if n_splits < 1:
+        raise ConfigError(f"the number of splits must be >= 1, got {n_splits}")
+    if base_seed < 0:
+        raise ConfigError(f"the split seed must be >= 0, got {base_seed}")
     if not 0.0 < label_rate < 1.0:
         raise DataError(f"label_rate must be in (0,1), got {label_rate}")
     n = ds.num_nodes

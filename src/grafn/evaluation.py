@@ -12,9 +12,6 @@ import numpy as np
 
 from .data import GraphDataset, degree_buckets, generate_splits
 from .errors import GrafnError, NumericsError
-from .model import GcnEncoder, LinearHead
-from .sparse import normalize_adjacency
-from .tape import Tape
 from .config import TrainConfig
 from .trainer import RunResult, fit
 
@@ -148,8 +145,8 @@ def sim_at_k(
     """Mean fraction of each query's k cosine-nearest neighbors (self
     excluded, ties toward the lower index) sharing the query's label."""
     n = z.shape[0]
-    if k >= n:
-        raise NumericsError(f"k={k} must be smaller than the node count {n}")
+    if not 1 <= k < n:
+        raise NumericsError(f"k={k} must be at least 1 and smaller than the node count {n}")
     if query_nodes is None:
         query_nodes = np.arange(n)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
@@ -171,21 +168,14 @@ def sim_at_k(
 
 def degree_accuracy_report(
     ds: GraphDataset,
-    encoder: GcnEncoder,
-    head: LinearHead,
+    pred: np.ndarray,
     test_set: np.ndarray,
     boundaries: list[int],
-    features=None,
 ) -> dict:
-    """Accuracy per raw-degree bucket over the test set; empty buckets get
-    null accuracy rather than zero. Uses the linear-head predictor."""
-    from .model import predict_from
-
+    """Accuracy of the per-node predictions `pred` in each raw-degree bucket
+    of the test set; empty buckets get null accuracy rather than zero."""
     buckets = degree_buckets(ds, boundaries)
     label_ids = ds.label_ids()
-    if features is None:
-        features = ds.features
-    pred = predict_from(Tape(), normalize_adjacency(ds.adj), features, encoder, head)
     rows = []
     n_buckets = len(boundaries) + 1
     labels_txt = (

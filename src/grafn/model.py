@@ -1,8 +1,9 @@
-"""Shared two-layer GCN encoder and the linear classification head.
+"""Shared two-layer GCN encoder, the linear classification head, and
+`predict`, the one node-classification path.
 
 Both augmented views pass through the same parameters; there is no target
-network. Inference always runs on the clean, renormalized graph with
-dropout off.
+network. `predict` encodes the clean, renormalized graph with dropout off;
+`fit`'s model selection and `degree-report` both call it.
 
 Checkpoint format: magic "GRAFN1", then per parameter: name length,
 name bytes, rows, cols (little-endian uint32), row-major float64 values.
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset
+from .config import TrainConfig
 from .errors import DataError, NumericsError
-from .sparse import SparseAdjacency, normalize_adjacency
+from .sparse import SparseAdjacency
 from .sparse_features import SparseFeatures
 from .tape import Parameter, Tape, Tensor
 
@@ -99,23 +100,25 @@ def init_params(
     return encoder, head
 
 
-def predict_from(
-    tape: Tape,
-    adj_norm: SparseAdjacency,
-    x: np.ndarray | SparseFeatures,
-    encoder: GcnEncoder,
-    head: LinearHead,
-) -> np.ndarray:
-    """Predicted class per node on an already-normalized graph; argmax ties
-    resolve toward the lower class index."""
+def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
+            x: np.ndarray | SparseFeatures, cfg: TrainConfig, labeled: np.ndarray,
+            label_ids: np.ndarray) -> np.ndarray:
+    """Class per node from the clean-graph encode of `x` (features prepared
+    as in training), dropout off: the head's argmax or, with
+    `cfg.snn_inference`, the argmax of the soft-nearest-neighbour
+    distribution over every labeled node. Ties go to the lower class."""
+    tape = Tape()
     z = encoder.encode(tape, adj_norm, x, training=False)
-    logits = head.classify(tape, z)
-    return np.argmax(logits.data, axis=1)
-
-
-def predict(ds: GraphDataset, encoder: GcnEncoder, head: LinearHead) -> np.ndarray:
-    """Inference on the clean graph (normalized adjacency, no augmentation)."""
-    return predict_from(Tape(), normalize_adjacency(ds.adj), ds.features, encoder, head)
+    if not cfg.snn_inference:
+        return np.argmax(head.classify(tape, z).data, axis=1)
+    zn = z.data / np.linalg.norm(z.data, axis=1, keepdims=True)
+    logits = zn @ zn[labeled].T / cfg.tau
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    y_s = np.zeros((len(labeled), head.w.data.shape[1]))
+    y_s[np.arange(len(labeled)), label_ids[labeled]] = 1.0
+    return np.argmax(w @ y_s, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +140,11 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Parameters by name; any malformed content raises DataError."""
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            blob = memoryview(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     magic = bytes(blob[:len(CHECKPOINT_MAGIC)])
     if magic != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")

@@ -181,7 +181,7 @@ def train_step(
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# feature preprocessing
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
@@ -198,39 +198,6 @@ def prepare_features(ds: GraphDataset, cfg: TrainConfig):
         density = np.count_nonzero(x) / x.size
         use_sparse = density <= 0.05
     return SparseFeatures.from_dense(x) if use_sparse else x
-
-
-def snn_predict(z: np.ndarray, labeled: np.ndarray, label_ids: np.ndarray,
-                num_classes: int, tau: float) -> np.ndarray:
-    """Deterministic SNN inference: every labeled node acts as a support."""
-    zn = z / np.linalg.norm(z, axis=1, keepdims=True)
-    zs = zn[labeled]
-    logits = zn @ zs.T / tau
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    y_s = np.zeros((len(labeled), num_classes))
-    y_s[np.arange(len(labeled)), label_ids[labeled]] = 1.0
-    return np.argmax(w @ y_s, axis=1)
-
-
-def _predict_classes(adj_norm, features, encoder, head, cfg, split, label_ids,
-                     num_classes) -> np.ndarray:
-    tape = Tape()
-    z = encoder.encode(tape, adj_norm, features, training=False)
-    if cfg.snn_inference:
-        return snn_predict(z.data, split.labeled, label_ids, num_classes, cfg.tau)
-    logits = head.classify(tape, z)
-    return np.argmax(logits.data, axis=1)
-
-
-def evaluate_accuracy(ds: GraphDataset, encoder: GcnEncoder, head: LinearHead,
-                      index_set: np.ndarray) -> float:
-    """Fraction of nodes in the set whose clean-graph prediction matches."""
-    if len(index_set) == 0:
-        raise NumericsError("evaluate_accuracy over an empty index set")
-    pred = predict(ds, encoder, head)
-    return float(np.mean(pred[index_set] == ds.label_ids()[index_set]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +239,7 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
             raise DivergenceError(
                 f"non-finite total loss at epoch {epoch}", history=history
             )
-        pred = _predict_classes(
-            adj_clean, features, encoder, head, cfg, split, label_ids, ds.class_count
-        )
+        pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, label_ids)
         val_acc = float(np.mean(pred[split.val] == label_ids[split.val]))
         val_history.append(val_acc)
         if val_acc > best_val:
@@ -284,9 +249,7 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
 
     for name, p in tape.parameters.items():
         p.data = best_params[name]
-    pred = _predict_classes(
-        adj_clean, features, encoder, head, cfg, split, label_ids, ds.class_count
-    )
+    pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, label_ids)
     test_acc = float(np.mean(pred[split.test] == label_ids[split.test]))
     return RunResult(
         best_val_accuracy=best_val,

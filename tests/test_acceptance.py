@@ -35,7 +35,7 @@ from grafn import trainer
 from grafn.cli import main as cli_main
 from grafn.config import build_train_config, load_config_file
 from grafn.evaluation import ablation_suite, degree_accuracy_report, run_benchmark
-from grafn.model import build_from_checkpoint
+from grafn.model import build_from_checkpoint, predict
 from grafn.objective import SupportSet
 from grafn.tape import Tensor
 from grafn.trainer import build_step_loss, prepare_features
@@ -322,10 +322,10 @@ def test_criterion_08_cora_low_degree_gap(cora_ds):
         variant = dataclasses.replace(cfg, **lam)
         result = fit(cora_ds, split, variant)
         _, encoder, head = build_from_checkpoint(result.params)
-        rep = degree_accuracy_report(
-            cora_ds, encoder, head, split.test, [2, 4, 7],
-            features=prepare_features(cora_ds, cfg),
-        )
+        pred = predict(encoder, head, normalize_adjacency(cora_ds.adj),
+                       prepare_features(cora_ds, cfg), variant, split.labeled,
+                       cora_ds.label_ids())
+        rep = degree_accuracy_report(cora_ds, pred, split.test, [2, 4, 7])
         accs[name] = rep["buckets"][0]["accuracy"]
     gap = accs["grafn"] - accs["supervised"]
     report(
@@ -481,10 +481,10 @@ def test_analog_low_degree_gap_on_synthetic(
     accs = {}
     for tag, (c, r) in (("grafn", (cfg, result)), ("sup", (sup_cfg, sup_result))):
         _, encoder, head = _clean_embeddings(synthetic_ds, c, r)
-        rep = degree_accuracy_report(
-            synthetic_ds, encoder, head, synthetic_split.test, [4, 7],
-            features=prepare_features(synthetic_ds, c),
-        )
+        pred = predict(encoder, head, normalize_adjacency(synthetic_ds.adj),
+                       prepare_features(synthetic_ds, c), c, synthetic_split.labeled,
+                       synthetic_ds.label_ids())
+        rep = degree_accuracy_report(synthetic_ds, pred, synthetic_split.test, [4, 7])
         accs[tag] = rep["buckets"][0]["accuracy"]
     print(f"ANALOG (criterion 8) synthetic low-degree bucket: "
           f"grafn {accs['grafn']:.4f} vs supervised {accs['sup']:.4f}")

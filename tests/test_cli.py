@@ -138,6 +138,65 @@ def test_train_missing_dataset_exits_3(one_split, tmp_path):
                 "--out", str(tmp_path / "r")]) == 3
 
 
+SPLIT_EDITS = {
+    "test index 10**6": lambda obj: obj["test"].append(10**6),
+    "empty val": lambda obj: obj.update(val=[]),
+    "labeled index -1": lambda obj: obj["labeled"].append(-1),
+    "test entry 0.5": lambda obj: obj["test"].append(0.5),
+    "node in two sets": lambda obj: obj["test"].append(obj["labeled"][0]),
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    *(("train", case) for case in SPLIT_EDITS),
+    ("train", "missing split"),
+    ("simsearch", "empty val"),
+    ("simsearch", "missing checkpoint"),
+    ("degree-report", "labeled index -1"),
+])
+def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_path,
+                                         capsys, command, case):
+    split = tmp_path / "split.json"
+    if case in SPLIT_EDITS:
+        obj = json.loads(open(one_split).read())
+        SPLIT_EDITS[case](obj)
+        split.write_text(json.dumps(obj))
+    ckpt = os.path.join(trained_dir, "checkpoint.bin")
+    if case == "missing checkpoint":
+        split, ckpt = one_split, str(tmp_path / "absent.bin")
+    argv = {
+        "train": ["train", data_dir, str(split), "--out", str(tmp_path / "r")],
+        "simsearch": ["simsearch", ckpt, data_dir, "--k", "5", "--split", str(split)],
+        "degree-report": ["degree-report", ckpt, data_dir, str(split)],
+    }[command]
+    assert run([*argv, *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{data}", "{split}", "--out", "{out}", "--seed", "-1"],
+    ["train", "{data}", "{split}", "--out", "{out}", "--set", "seed=-1"],
+    ["split", "{data}", "--rate", "0.1", "--n", "0", "--out", "{out}"],
+    ["split", "{data}", "--rate", "0.1", "--seed", "-1", "--out", "{out}"],
+    ["bench", "{data}", "--rate", "0.1", "--n", "0", "--out", "{out}"],
+    ["bench", "{data}", "--rate", "0.1", "--n", "1", "--bench-seed", "-1", "--out", "{out}"],
+    ["ablate", "{data}", "--rate", "0.1", "--n", "0"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "x,2"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", ""],
+    ["gradcheck", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split, trained_dir,
+                                                            tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    slots = dict(data=data_dir, split=one_split, out=str(out),
+                 ckpt=os.path.join(trained_dir, "checkpoint.bin"))
+    assert run([arg.format(**slots) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_nan_divergence_exits_4_with_partial_history(tmp_path):
     ds = random_dataset(20, num_classes=2, num_features=8, seed=3, name="poison")
     ds.features[0, 0] = np.nan
@@ -268,6 +327,23 @@ def test_degree_report_cli(data_dir, trained_dir, one_split, tmp_path, capsys):
     assert payload["boundaries"] == [2, 4, 7]
     assert len(payload["buckets"]) == 4
     assert "degree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("snn_inference", ["false", "true"])
+def test_degree_report_pools_to_train_test_accuracy(data_dir, one_split, tmp_path,
+                                                    snn_inference):
+    settings = [*FAST, "--set", f"snn_inference={snn_inference}",
+                "--set", "feature_row_normalize=true"]
+    out = tmp_path / "run"
+    assert run(["train", data_dir, one_split, "--out", str(out), *settings]) == 0
+    deg = tmp_path / "deg.json"
+    assert run(["degree-report", str(out / "checkpoint.bin"), data_dir, one_split,
+                "--out", str(deg), *settings]) == 0
+    buckets = [b for b in json.loads(deg.read_text())["buckets"] if b["population"]]
+    correct = sum(round(b["accuracy"] * b["population"]) for b in buckets)
+    pooled = correct / sum(b["population"] for b in buckets)
+    run_obj = json.loads((out / "run.json").read_text())
+    assert pooled == run_obj["test_accuracy_at_best_val"]
 
 
 @pytest.mark.parametrize("name", ["features7", "classes4"])

@@ -3,9 +3,7 @@ import pytest
 
 from grafn import (
     NumericsError,
-    Tape,
     TrainConfig,
-    init_params,
     run_benchmark,
     sim_at_k,
 )
@@ -38,8 +36,11 @@ def test_sim_at_k_two_orthogonal_clusters():
 
 
 def test_sim_at_k_k_too_large():
-    with pytest.raises(NumericsError, match="k=5"):
-        sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), 5)
+    # k must lie in [1, n): k=0 would average nothing, a negative k would
+    # keep n+k neighbours
+    for k in (5, 6, 0, -3):
+        with pytest.raises(NumericsError, match=f"k={k}"):
+            sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
 
 
 def test_sim_at_k_scale_invariance():
@@ -73,20 +74,11 @@ def test_sim_at_k_query_subset_and_blocking():
 # degree report
 
 
-def _constant_class_zero_model(f, c):
-    tape = Tape()
-    encoder, head = init_params(tape, f, f, f, c, 0.0, np.random.default_rng(0))
-    head.w.data[:] = 0.0
-    head.b.data[:] = 0.0
-    return encoder, head
-
-
 def test_degree_report_star_hub_only_correct():
     # star: hub degree 9 (bucket >=7), leaves degree 1; predictor always says 0
     labels = [0] + [1] * 9
     ds = make_dataset(10, [(0, i) for i in range(1, 10)], labels, 2)
-    encoder, head = _constant_class_zero_model(2, 2)
-    report = degree_accuracy_report(ds, encoder, head, np.arange(10), [7])
+    report = degree_accuracy_report(ds, np.zeros(10, dtype=int), np.arange(10), [7])
     assert report["buckets"][1]["accuracy"] == 1.0
     assert report["buckets"][0]["accuracy"] == 0.0
     assert report["buckets"][1]["population"] == 1
@@ -94,12 +86,7 @@ def test_degree_report_star_hub_only_correct():
 
 def test_degree_report_perfect_predictor_and_empty_bucket():
     ds = make_dataset(6, [], [0, 1, 2, 0, 1, 2], 3)
-    tape = Tape()
-    encoder, head = init_params(tape, 3, 3, 3, 3, 0.0, np.random.default_rng(0))
-    encoder.w1.data = np.eye(3)
-    encoder.w2.data = np.eye(3)
-    head.w.data = np.eye(3)
-    report = degree_accuracy_report(ds, encoder, head, np.arange(6), [2, 5])
+    report = degree_accuracy_report(ds, ds.label_ids(), np.arange(6), [2, 5])
     assert report["buckets"][0]["accuracy"] == 1.0       # all nodes: degree 0
     assert report["buckets"][1]["accuracy"] is None      # empty -> null
     assert report["buckets"][2]["accuracy"] is None

@@ -12,6 +12,7 @@ from grafn import (
     SparseAdjacency,
     SparseFeatures,
     Tape,
+    TrainConfig,
     init_params,
     load_checkpoint,
     normalize_adjacency,
@@ -20,6 +21,7 @@ from grafn import (
 )
 from grafn.gradcheck import finite_diff_check
 from grafn.model import build_from_checkpoint
+from grafn.trainer import prepare_features
 from tests.conftest import make_dataset
 
 
@@ -150,18 +152,24 @@ def test_classify_one_hot_head_selects_columns():
     np.testing.assert_allclose(logits.data, z[:, [2, 0, 3]], atol=1e-15)
 
 
+def clean_predict(ds, encoder, head):
+    cfg = TrainConfig()
+    return predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
+                   cfg, np.arange(ds.num_nodes), ds.label_ids())
+
+
 def test_predict_tie_breaks_to_lower_class():
     ds = make_dataset(4, [(0, 1), (2, 3)], [1, 3, 0, 2], 4)
     tape = Tape()
     encoder, head = init_params(tape, 4, 4, 4, 4, 0.0, np.random.default_rng(0))
     head.w.data[:] = 0.0  # all logits equal: every prediction ties
     head.b.data[:] = 0.0
-    pred = predict(ds, encoder, head)
+    pred = clean_predict(ds, encoder, head)
     np.testing.assert_array_equal(pred, np.zeros(4))
     # exact tie between classes 1 and 3 only
     head.b.data[0, 1] = 5.0
     head.b.data[0, 3] = 5.0
-    pred = predict(ds, encoder, head)
+    pred = clean_predict(ds, encoder, head)
     np.testing.assert_array_equal(pred, np.ones(4))
 
 
@@ -169,7 +177,8 @@ def test_predict_repeated_calls_identical():
     ds = make_dataset(5, [(0, 1), (1, 2), (3, 4)], [0, 1, 2, 0, 1], 3)
     tape = Tape()
     encoder, head = init_params(tape, 3, 4, 4, 3, 0.5, np.random.default_rng(8))
-    np.testing.assert_array_equal(predict(ds, encoder, head), predict(ds, encoder, head))
+    np.testing.assert_array_equal(clean_predict(ds, encoder, head),
+                                  clean_predict(ds, encoder, head))
 
 
 # ---------------------------------------------------------------------------

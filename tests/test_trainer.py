@@ -10,7 +10,6 @@ from grafn import (
     TrainConfig,
     adam_update,
     build_step_loss,
-    evaluate_accuracy,
     fit,
     generate_splits,
     init_params,
@@ -18,7 +17,9 @@ from grafn import (
     train_step,
 )
 from grafn.tape import Tensor
-from grafn.trainer import StepLosses, prepare_features, row_normalize, snn_predict
+from grafn.model import build_from_checkpoint, predict
+from grafn.sparse import normalize_adjacency
+from grafn.trainer import StepLosses, prepare_features, row_normalize
 from tests.conftest import make_dataset
 
 
@@ -316,6 +317,13 @@ def test_prepare_features_auto_density():
     assert isinstance(prepare_features(sparse_ds, TrainConfig()), SparseFeatures)
 
 
+def clean_accuracy(ds, encoder, head, index_set, cfg=TrainConfig(), labeled=None):
+    labeled = np.arange(ds.num_nodes) if labeled is None else labeled
+    pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
+                   cfg, labeled, ds.label_ids())
+    return float(np.mean(pred[index_set] == ds.label_ids()[index_set]))
+
+
 def test_evaluate_accuracy_all_correct():
     # no edges: encoder sees pure features; craft weights to copy them through
     ds = make_dataset(6, [], [0, 1, 2, 0, 1, 2], 3)
@@ -325,7 +333,7 @@ def test_evaluate_accuracy_all_correct():
     encoder.w2.data = np.eye(3)
     head.w.data = np.eye(3) * 10.0
     head.b.data[:] = 0.0
-    assert evaluate_accuracy(ds, encoder, head, np.arange(6)) == 1.0
+    assert clean_accuracy(ds, encoder, head, np.arange(6)) == 1.0
 
 
 def test_evaluate_accuracy_constant_predictor_hits_class_share():
@@ -334,24 +342,34 @@ def test_evaluate_accuracy_constant_predictor_hits_class_share():
     encoder, head = init_params(tape, 3, 3, 3, 3, 0.0, np.random.default_rng(0))
     head.w.data[:] = 0.0   # ties everywhere: always predicts class 0
     head.b.data[:] = 0.0
-    acc = evaluate_accuracy(ds, encoder, head, np.arange(30))
+    acc = clean_accuracy(ds, encoder, head, np.arange(30))
     assert acc == pytest.approx(1.0 / 3.0)
 
 
-def test_evaluate_accuracy_empty_set_rejected():
-    ds = make_dataset(4, [], [0, 1, 0, 1], 2)
+def test_snn_predict_labels_supports_correctly():
+    # no edges and identity weights: the clean embedding is the unit feature row
+    z = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+    ds = make_dataset(4, [], [0, 0, 1, 1], 2, features=z)
     tape = Tape()
     encoder, head = init_params(tape, 2, 2, 2, 2, 0.0, np.random.default_rng(0))
-    with pytest.raises(NumericsError, match="empty"):
-        evaluate_accuracy(ds, encoder, head, np.array([], dtype=int))
+    encoder.w1.data = np.eye(2)
+    encoder.w2.data = np.eye(2)
+    head.w.data = np.array([[0.0, 1.0], [1.0, 0.0]])  # the head alone gets all wrong
+    cfg = TrainConfig(snn_inference=True, tau=0.1)
+    assert clean_accuracy(ds, encoder, head, np.arange(4)) == 0.0
+    assert clean_accuracy(ds, encoder, head, np.arange(4), cfg, np.array([0, 2])) == 1.0
 
 
-def test_snn_predict_labels_supports_correctly():
-    z = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
-    labeled = np.array([0, 2])
-    label_ids = np.array([0, 0, 1, 1])
-    pred = snn_predict(z, labeled, label_ids, 2, tau=0.1)
-    np.testing.assert_array_equal(pred, [0, 0, 1, 1])
+@pytest.mark.parametrize("snn_inference", [False, True])
+def test_predict_on_checkpoint_reproduces_fit_accuracy(tiny_setup, snn_inference):
+    ds, split = tiny_setup
+    norms = np.linalg.norm(ds.features, axis=1)
+    assert norms.min() < norms.max()  # row normalization changes the input
+    cfg = small_cfg(max_epochs=6, snn_inference=snn_inference)
+    result = fit(ds, split, cfg)
+    _, encoder, head = build_from_checkpoint(result.params)
+    acc = clean_accuracy(ds, encoder, head, split.test, cfg, split.labeled)
+    assert acc == result.test_accuracy_at_best_val
 
 
 def test_fit_snn_inference_mode(tiny_setup):
