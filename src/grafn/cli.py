@@ -64,13 +64,13 @@ def _load_model(path: str, ds):
 
 
 def _load_split(path: str, ds) -> SplitSpec:
-    """The split file, checked against the dataset's node count."""
+    """The split file, checked against the dataset's nodes and classes."""
     try:
         with open(path, encoding="utf-8") as fh:
             split = SplitSpec.from_json(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read split file {path}: {exc}") from exc
-    split.validate(ds.num_nodes)
+    split.validate(ds)
     return split
 
 

@@ -94,9 +94,11 @@ class SplitSpec:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed split file: {exc}") from exc
 
-    def validate(self, num_nodes: int) -> None:
+    def validate(self, ds: GraphDataset) -> None:
         """Raise DataError unless every set is non-empty with indices in
-        [0, num_nodes) and no node appears twice across the sets."""
+        [0, num_nodes), no node appears twice across the sets, and the
+        labeled set holds a node of every class."""
+        num_nodes = ds.num_nodes
         for name in ("labeled", "val", "test"):
             idx = getattr(self, name)
             if len(idx) == 0:
@@ -106,6 +108,9 @@ class SplitSpec:
         nodes = np.concatenate([self.labeled, self.val, self.test])
         if np.unique(nodes).size != nodes.size:
             raise DataError("split sets share or repeat a node")
+        counts = np.bincount(ds.label_ids()[self.labeled], minlength=ds.class_count)
+        if not counts.all():
+            raise DataError(f"split set 'labeled' has no node of class {np.argmin(counts)}")
 
 
 def _round_half_up(x: float) -> int:

@@ -143,26 +143,40 @@ def sim_at_k(
     block: int = 512,
 ) -> float:
     """Mean fraction of each query's k cosine-nearest neighbors (self
-    excluded, ties toward the lower index) sharing the query's label."""
+    excluded, ties toward the lower index) sharing the query's label.
+
+    The neighbours are selected, not sorted: every similarity above the
+    row's k-th largest is in, and entries equal to it fill the remaining
+    slots in index order.
+    """
     n = z.shape[0]
     if not 1 <= k < n:
         raise NumericsError(f"k={k} must be at least 1 and smaller than the node count {n}")
     if query_nodes is None:
         query_nodes = np.arange(n)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    bad = np.flatnonzero(norms[:, 0] == 0.0)
+    norms = np.linalg.norm(z, axis=1)
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
     if bad.size:
-        raise NumericsError(f"sim_at_k: zero-norm embedding row {bad[0]}")
-    zn = z / norms
+        raise NumericsError(
+            f"sim_at_k: embedding row {bad[0]} has zero or non-finite norm {norms[bad[0]]}"
+        )
+    zn = z / norms[:, None]
     fractions = np.empty(len(query_nodes))
     for start in range(0, len(query_nodes), block):
         q = query_nodes[start:start + block]
         sims = zn[q] @ zn.T
         sims[np.arange(len(q)), q] = -np.inf
-        nbrs = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        fractions[start:start + len(q)] = np.mean(
-            label_ids[nbrs] == label_ids[q][:, None], axis=1
-        )
+        kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
+        chosen = sims > kth
+        tied = sims == kth
+        slots = k - np.count_nonzero(chosen, axis=1)
+        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > slots)
+        if crowded.size:
+            ties = tied[crowded]
+            tied[crowded] = ties & (np.cumsum(ties, axis=1) <= slots[crowded, None])
+        chosen |= tied
+        same = label_ids[None, :] == label_ids[q][:, None]
+        fractions[start:start + len(q)] = np.count_nonzero(chosen & same, axis=1) / k
     return float(np.mean(fractions))
 
 

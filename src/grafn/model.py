@@ -106,12 +106,14 @@ def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
     """Class per node from the clean-graph encode of `x` (features prepared
     as in training), dropout off: the head's argmax or, with
     `cfg.snn_inference`, the argmax of the soft-nearest-neighbour
-    distribution over every labeled node. Ties go to the lower class."""
+    distribution over every labeled node. Ties go to the lower class. A
+    zero embedding row stays zero, as in training, so its cosines are 0."""
     tape = Tape()
     z = encoder.encode(tape, adj_norm, x, training=False)
     if not cfg.snn_inference:
         return np.argmax(head.classify(tape, z).data, axis=1)
-    zn = z.data / np.linalg.norm(z.data, axis=1, keepdims=True)
+    norms = np.linalg.norm(z.data, axis=1, keepdims=True)
+    zn = z.data / np.where(norms > 0.0, norms, 1.0)
     logits = zn @ zn[labeled].T / cfg.tau
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)

@@ -385,7 +385,8 @@ def _check_table2(name, ds_dir):
         f"N={ds.num_nodes} F={ds.num_features} C={ds.class_count}, "
         f"symmetrized undirected edges {ds.adj.num_undirected_edges}"
     )
-    meta = json.load(open(os.path.join(ds_dir, "meta.json")))
+    with open(os.path.join(ds_dir, "meta.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
     conv = meta.get("converter")
     if conv is not None:
         ok = ok and conv["raw_edge_lines"] == want["edges"]

@@ -5,7 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from grafn import load_checkpoint, random_dataset, write_dataset
+from grafn import (
+    load_checkpoint,
+    load_dataset,
+    random_dataset,
+    save_checkpoint,
+    write_dataset,
+)
 from grafn.cli import main
 
 
@@ -96,7 +102,8 @@ def trained_dir(data_dir, one_split, tmp_path_factory):
 
 
 def test_train_outputs(trained_dir):
-    run_obj = json.loads(open(os.path.join(trained_dir, "run.json")).read())
+    with open(os.path.join(trained_dir, "run.json"), encoding="utf-8") as fh:
+        run_obj = json.load(fh)
     assert 0.0 <= run_obj["test_accuracy_at_best_val"] <= 1.0
     assert run_obj["effective_config"]["hidden_dim"] == 16
     params = load_checkpoint(os.path.join(trained_dir, "checkpoint.bin"))
@@ -139,11 +146,13 @@ def test_train_missing_dataset_exits_3(one_split, tmp_path):
 
 
 SPLIT_EDITS = {
-    "test index 10**6": lambda obj: obj["test"].append(10**6),
-    "empty val": lambda obj: obj.update(val=[]),
-    "labeled index -1": lambda obj: obj["labeled"].append(-1),
-    "test entry 0.5": lambda obj: obj["test"].append(0.5),
-    "node in two sets": lambda obj: obj["test"].append(obj["labeled"][0]),
+    "test index 10**6": lambda obj, labels: obj["test"].append(10**6),
+    "empty val": lambda obj, labels: obj.update(val=[]),
+    "labeled index -1": lambda obj, labels: obj["labeled"].append(-1),
+    "test entry 0.5": lambda obj, labels: obj["test"].append(0.5),
+    "node in two sets": lambda obj, labels: obj["test"].append(obj["labeled"][0]),
+    "labeled misses class 2": lambda obj, labels: obj.update(
+        labeled=[i for i in obj["labeled"] if labels[i] != 2]),
 }
 
 
@@ -158,8 +167,9 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
                                          capsys, command, case):
     split = tmp_path / "split.json"
     if case in SPLIT_EDITS:
-        obj = json.loads(open(one_split).read())
-        SPLIT_EDITS[case](obj)
+        with open(one_split, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        SPLIT_EDITS[case](obj, load_dataset(data_dir).label_ids())
         split.write_text(json.dumps(obj))
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     if case == "missing checkpoint":
@@ -172,6 +182,8 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     assert run([*argv, *FAST]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    if case == "labeled misses class 2":
+        assert "class 2" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,8 +280,19 @@ def test_simsearch_k_too_large_exits_4(data_dir, trained_dir):
     assert run(["simsearch", ckpt, data_dir, "--k", "60", *FAST]) == 4
 
 
+def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path, capsys):
+    params = load_checkpoint(os.path.join(trained_dir, "checkpoint.bin"))
+    params["enc.w2"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.bin"
+    save_checkpoint(str(ckpt), params)
+    assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "non-finite norm nan" in err
+
+
 def test_simsearch_corrupt_checkpoint_exits_3(data_dir, trained_dir, tmp_path):
-    blob = open(os.path.join(trained_dir, "checkpoint.bin"), "rb").read()
+    with open(os.path.join(trained_dir, "checkpoint.bin"), "rb") as fh:
+        blob = fh.read()
     ckpt = tmp_path / "cut.bin"
     ckpt.write_bytes(blob[:6 + 4 + len("enc.w1") + 5])  # cut inside the shape
     assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 3

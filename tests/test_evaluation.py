@@ -43,6 +43,18 @@ def test_sim_at_k_k_too_large():
             sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
 
 
+@pytest.mark.parametrize("row, shown", [
+    ([0.0, 0.0, 0.0, 0.0], "0.0"),
+    ([1.0, np.nan, 0.0, 0.0], "nan"),
+    ([1.0, np.inf, 0.0, 0.0], "inf"),
+])
+def test_sim_at_k_rejects_zero_or_non_finite_row(row, shown):
+    z = np.random.default_rng(4).standard_normal((20, 4))
+    z[3] = row
+    with pytest.raises(NumericsError, match=f"row 3 has zero or non-finite norm {shown}"):
+        sim_at_k(z, np.arange(20) % 3, 5)
+
+
 def test_sim_at_k_scale_invariance():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((15, 4))

@@ -21,6 +21,7 @@ from grafn import (
 )
 from grafn.gradcheck import finite_diff_check
 from grafn.model import build_from_checkpoint
+from grafn.objective import SupportSet, snn_distribution
 from grafn.trainer import prepare_features
 from tests.conftest import make_dataset
 
@@ -181,6 +182,26 @@ def test_predict_repeated_calls_identical():
                                   clean_predict(ds, encoder, head))
 
 
+def test_predict_snn_zero_embedding_support_matches_training_distribution():
+    # path 0-6 plus node 7, isolated with zero features: its embedding is the
+    # zero row, which training's normalize_rows(allow_zero=True) keeps at zero
+    labels = [0, 0, 1, 1, 2, 2, 0, 1]
+    ds = make_dataset(8, [(i, i + 1) for i in range(6)], labels, 3)
+    ds.features[7] = 0.0
+    tape = Tape()
+    encoder, head = init_params(tape, 3, 4, 4, 3, 0.0, np.random.default_rng(0))
+    cfg = TrainConfig(snn_inference=True)
+    labeled = np.array([0, 2, 4, 7])
+    features = prepare_features(ds, cfg)
+    adj = normalize_adjacency(ds.adj)
+    pred = predict(encoder, head, adj, features, cfg, labeled, ds.label_ids())
+    z = encoder.encode(tape, adj, features, training=False)
+    support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.label_ids()[labeled]],
+                         b=1)
+    dist = snn_distribution(tape, z, z, support, cfg.tau)
+    np.testing.assert_array_equal(pred, np.argmax(dist.data, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -218,7 +239,8 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 def test_checkpoint_truncation_rejected(tmp_path):
     path = str(tmp_path / "model.bin")
     save_checkpoint(path, {"enc.w1": np.ones((4, 4))})
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     with open(path, "wb") as fh:
         fh.write(blob[:-8])
     with pytest.raises(DataError, match="truncated"):
