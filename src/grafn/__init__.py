@@ -5,65 +5,24 @@ views with three signals: node-wise cosine consistency between the views,
 label-guided consistency between soft-nearest-neighbor class assignments
 (confidence-filtered, stop-gradient on the weak-view target), and the
 supervised cross-entropy on the handful of labeled nodes.
+
+The package exports the documented API below; everything else is imported
+from its submodule (`grafn.tape`, `grafn.objective`, ...).
 """
 
-from .augment import augment_view, drop_edges, mask_features
 from .config import TrainConfig
-from .data import (
-    GraphDataset,
-    SplitSpec,
-    convert_content_cites,
-    degree_buckets,
-    generate_splits,
-    load_dataset,
-    write_dataset,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    GrafnError,
-    NumericsError,
-)
-from .evaluation import (
-    BenchReport,
-    ablation_suite,
-    degree_accuracy_report,
-    run_benchmark,
-    sim_at_k,
-)
-from .gradcheck import finite_diff_check
-from .model import (
-    GcnEncoder,
-    LinearHead,
-    build_from_checkpoint,
-    init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-)
-from .objective import (
-    SupportSet,
-    confident_set,
-    label_consistency_loss,
-    node_consistency_loss,
-    sample_support,
-    snn_distribution,
-    supervised_loss,
-    total_loss,
-)
-from .sparse import SparseAdjacency, normalize_adjacency
-from .sparse_features import SparseFeatures
+from .data import GraphDataset, SplitSpec, generate_splits, load_dataset, write_dataset
+from .errors import ConfigError, DataError, DivergenceError, GrafnError, NumericsError
+from .evaluation import run_benchmark, sim_at_k
+from .model import load_checkpoint, predict, save_checkpoint
 from .synthetic import random_dataset
-from .tape import Parameter, Tape, Tensor
-from .trainer import (
-    AdamState,
-    RunResult,
-    StepLosses,
-    adam_update,
-    build_step_loss,
-    fit,
-    train_step,
-)
+from .trainer import RunResult, fit
+
+__all__ = [
+    "TrainConfig", "GraphDataset", "SplitSpec", "load_dataset", "write_dataset",
+    "generate_splits", "random_dataset", "fit", "RunResult", "predict",
+    "save_checkpoint", "load_checkpoint", "run_benchmark", "sim_at_k",
+    "ConfigError", "DataError", "DivergenceError", "GrafnError", "NumericsError",
+]
 
 __version__ = "0.1.0"

@@ -43,11 +43,7 @@ def resolve_dataset_dir(path: str) -> str:
 
 def _load_effective_config(args) -> TrainConfig:
     values = load_config_file(args.config) if args.config else {}
-    values = apply_overrides(values, args.set or [])
-    for flag in ("lambda1", "lambda2", "seed"):
-        if getattr(args, flag, None) is not None:
-            values[flag] = getattr(args, flag)
-    return build_train_config(values)
+    return build_train_config(apply_overrides(values, args.set or []))
 
 
 def _load_model(path: str, ds):
@@ -277,16 +273,10 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_config_args(sub, include_lambdas: bool = False):
+def _add_config_args(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--seed", type=int, default=None, help="training seed override")
-    if include_lambdas:
-        sub.add_argument("--lambda1", type=float, default=None,
-                         help="node-consistency coefficient override")
-        sub.add_argument("--lambda2", type=float, default=None,
-                         help="label-consistency coefficient override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir")
     p.add_argument("split")
     p.add_argument("--out", required=True)
-    _add_config_args(p, include_lambdas=True)
+    _add_config_args(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("bench", help="train over generated splits and aggregate")
@@ -327,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed for split generation")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True)
-    _add_config_args(p, include_lambdas=True)
+    _add_config_args(p)
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("simsearch", help="Sim@K of checkpoint embeddings")

@@ -1,7 +1,8 @@
 """Dataset representation, file formats and splits.
 
 The adjacency type and its GCN normalization live in grafn.sparse;
-`normalize_adjacency` is re-exported here for existing callers.
+`normalize_adjacency` is re-exported here because the benchmark's
+inference path calls `grafn.data.normalize_adjacency`.
 
 Dataset directory format (text, UTF-8, LF):
     graph.edges   one "src dst" pair per line, 0-indexed, src < dst, each
@@ -54,6 +55,11 @@ class GraphDataset:
             raise DataError(f"label matrix shape {self.labels.shape} unexpected")
         if not np.allclose(self.labels.sum(axis=1), 1.0):
             raise DataError("label rows must be one-hot")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            node, feature = bad[0]
+            raise DataError(f"node {node} feature {feature} is not finite: "
+                            f"{self.features[node, feature]}")
         self.adj.validate()
         # degrees() leaves out stored diagonal entries
         if self.adj.degrees().sum() != self.adj.nnz:
@@ -334,6 +340,7 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
         class_count=len(classes),
         name=os.path.basename(os.path.normpath(out_dir)) or "converted",
     )
+    ds.validate()
     summary = {
         "num_nodes": n,
         "num_features": int(ds.num_features),

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset, degree_buckets, generate_splits
+from .data import GraphDataset, SplitSpec, degree_buckets, generate_splits
 from .errors import GrafnError, NumericsError
 from .config import TrainConfig
-from .trainer import RunResult, fit
+from .trainer import fit
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
@@ -64,6 +64,18 @@ class BenchReport:
         return lines
 
 
+def _fit_split(ds: GraphDataset, cfg: TrainConfig, i: int,
+               split: SplitSpec) -> tuple[float, float, int]:
+    """Run i of a benchmark: fit() with seed cfg.seed + i; an error names
+    the split seed."""
+    try:
+        result = fit(ds, split, dataclasses.replace(cfg, seed=cfg.seed + i))
+    except GrafnError as exc:
+        raise type(exc)(f"split seed {split.seed}: {exc}") from exc
+    return result.test_accuracy_at_best_val, result.best_val_accuracy, result.epoch_of_best
+
+
+# set once per pool worker, so the dataset is not pickled once per task
 _WORKER_CTX: dict = {}
 
 
@@ -73,14 +85,7 @@ def _worker_init(ds, cfg):
 
 
 def _worker_fit(task):
-    i, split = task
-    run_cfg = dataclasses.replace(_WORKER_CTX["cfg"], seed=_WORKER_CTX["cfg"].seed + i)
-    result = fit(_WORKER_CTX["ds"], split, run_cfg)
-    return (
-        result.test_accuracy_at_best_val,
-        result.best_val_accuracy,
-        result.epoch_of_best,
-    )
+    return _fit_split(_WORKER_CTX["ds"], _WORKER_CTX["cfg"], *task)
 
 
 def run_benchmark(
@@ -89,45 +94,27 @@ def run_benchmark(
     n_splits: int,
     cfg: TrainConfig,
     base_seed: int,
-    results: list[RunResult] | None = None,
     jobs: int = 1,
 ) -> BenchReport:
     """fit() once per generated split; run i trains with seed cfg.seed + i.
 
-    Pass a list as `results` to also collect the per-split RunResults
-    (sequential mode only). jobs > 1 distributes splits over processes;
-    the aggregate is identical to the sequential result.
+    jobs > 1 distributes splits over processes; the aggregate is identical
+    to the sequential result.
     """
     splits = generate_splits(ds, label_rate, n_splits, base_seed)
-    seeds = [split.seed for split in splits]
     if jobs > 1:
-        if results is not None:
-            raise NumericsError("per-split results are not collected with jobs > 1")
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_worker_init, initargs=(ds, cfg)) as pool:
             rows = pool.map(_worker_fit, list(enumerate(splits)))
-        accs = [r[0] for r in rows]
-        vals = [r[1] for r in rows]
-        epochs = [r[2] for r in rows]
     else:
-        accs, vals, epochs = [], [], []
-        for i, split in enumerate(splits):
-            run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
-            try:
-                result = fit(ds, split, run_cfg)
-            except GrafnError as exc:
-                raise type(exc)(f"split seed {split.seed}: {exc}") from exc
-            accs.append(result.test_accuracy_at_best_val)
-            vals.append(result.best_val_accuracy)
-            epochs.append(result.epoch_of_best)
-            if results is not None:
-                results.append(result)
+        rows = [_fit_split(ds, cfg, i, split) for i, split in enumerate(splits)]
+    accs, vals, epochs = (list(column) for column in zip(*rows))
     return BenchReport(
         dataset=ds.name,
         label_rate=label_rate,
-        split_seeds=seeds,
+        split_seeds=[split.seed for split in splits],
         accuracies=accs,
         val_accuracies=vals,
         best_epochs=epochs,

@@ -36,14 +36,6 @@ class GcnEncoder:
     w2: Parameter  # H x D
     dropout: float
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.data.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.w2.data.shape[1]
-
     def encode(
         self,
         tape: Tape,
@@ -141,7 +133,8 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Parameters by name; any malformed content raises DataError."""
+    """Parameters by name; any malformed content, a non-finite value
+    included, raises DataError."""
     try:
         with open(path, "rb") as fh:
             blob = memoryview(fh.read())
@@ -168,8 +161,12 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: parameter name is not UTF-8") from exc
         rows, cols = struct.unpack("<II", take(8))
-        raw = take(rows * cols * 8)
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        value = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        bad = np.argwhere(~np.isfinite(value))
+        if bad.size:
+            raise DataError(f"{path}: parameter {name!r} holds {value[tuple(bad[0])]} "
+                            f"at {tuple(int(i) for i in bad[0])}")
+        params[name] = value.copy()
     return params
 
 

@@ -58,13 +58,6 @@ class SparseAdjacency:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.csr.data
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
     def _entry_rows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.csr.indptr))
 

@@ -31,9 +31,6 @@ class SparseFeatures:
     def shape(self):
         return self._csr.shape
 
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
     def scale_columns(self, col_scale: np.ndarray) -> "SparseFeatures":
         """Multiply each column by a scalar (0/1 for feature masking)."""
         if col_scale.shape != (self._csr.shape[1],):

@@ -310,18 +310,6 @@ class Tape:
 
         return self._emit(a.data + b.data, (a, b), backprop)
 
-    def mul(self, a, b) -> Tensor:
-        """Elementwise product of same-shape operands."""
-        a, b = _wrap(a), _wrap(b)
-        if a.data.shape != b.data.shape:
-            raise NumericsError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-        def backprop(g, a=a, b=b):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-
-        return self._emit(a.data * b.data, (a, b), backprop)
-
     def add_bias(self, x, b) -> Tensor:
         """x + row-broadcast bias of shape (1, C)."""
         x, b = _wrap(x), _wrap(b)
@@ -344,14 +332,6 @@ class Tape:
             _accumulate(x, np.full_like(x.data, float(g) / n))
 
         return self._emit(np.asarray(x.data.mean()), (x,), backprop)
-
-    def sum(self, x) -> Tensor:
-        x = _wrap(x)
-
-        def backprop(g, x=x):
-            _accumulate(x, np.full_like(x.data, float(g)))
-
-        return self._emit(np.asarray(x.data.sum()), (x,), backprop)
 
     def cross_entropy_rows(self, target, pred) -> Tensor:
         """Mean over rows of H(target, pred) = -sum_c t log max(p, floor).

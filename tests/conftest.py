@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from grafn import (
-    GraphDataset,
-    SparseAdjacency,
-    TrainConfig,
-    fit,
-    generate_splits,
-    random_dataset,
-)
+from grafn import GraphDataset, TrainConfig, fit, generate_splits, random_dataset
+from grafn.sparse import SparseAdjacency
 
 
 def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=None,

@@ -18,26 +18,22 @@ import numpy as np
 import pytest
 
 from grafn import (
-    Tape,
     TrainConfig,
     fit,
     generate_splits,
-    init_params,
     load_dataset,
-    normalize_adjacency,
     random_dataset,
-    sample_support,
     sim_at_k,
-    snn_distribution,
     write_dataset,
 )
 from grafn import trainer
 from grafn.cli import main as cli_main
 from grafn.config import build_train_config, load_config_file
 from grafn.evaluation import ablation_suite, degree_accuracy_report, run_benchmark
-from grafn.model import build_from_checkpoint, predict
-from grafn.objective import SupportSet
-from grafn.tape import Tensor
+from grafn.model import build_from_checkpoint, init_params, predict
+from grafn.objective import SupportSet, sample_support, snn_distribution
+from grafn.sparse import normalize_adjacency
+from grafn.tape import Tape, Tensor
 from grafn.trainer import build_step_loss, prepare_features
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafn import (
-    ConfigError,
-    SparseAdjacency,
-    SparseFeatures,
-    TrainConfig,
-    augment_view,
-    drop_edges,
-    mask_features,
-    normalize_adjacency,
-    random_dataset,
-)
+from grafn import ConfigError, TrainConfig, random_dataset
+from grafn.augment import augment_view, drop_edges, mask_features
+from grafn.sparse import SparseAdjacency, normalize_adjacency
+from grafn.sparse_features import SparseFeatures
 
 
 def test_mask_p_zero_is_identity():
@@ -47,7 +40,7 @@ def test_mask_sparse_dense_column_equivalence():
     sparse = mask_features(
         SparseFeatures.from_dense(x), 0.35, np.random.default_rng(11), mode="column"
     )
-    np.testing.assert_array_equal(sparse.to_dense(), dense)
+    np.testing.assert_array_equal(sparse._csr.toarray(), dense)
 
 
 def test_mask_entry_mode():
@@ -66,7 +59,7 @@ def test_mask_p_out_of_range():
 def test_drop_edges_p_zero_identity():
     adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     out = drop_edges(adj, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.to_dense(), adj.to_dense())
+    np.testing.assert_array_equal(out.csr.toarray(), adj.csr.toarray())
 
 
 def test_drop_edges_survival_fraction():
@@ -92,7 +85,7 @@ def test_drop_edges_output_always_symmetric(seed):
     adj = SparseAdjacency.from_edges(n, list(zip(*np.nonzero(m))))
     out = drop_edges(adj, 0.5, rng)
     out.validate()
-    dense = out.to_dense()
+    dense = out.csr.toarray()
     np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -102,7 +95,7 @@ def test_augment_view_noop_config(synthetic_ds):
     )
     np.testing.assert_array_equal(x_view, synthetic_ds.features)
     np.testing.assert_allclose(
-        adj_view.to_dense(), normalize_adjacency(synthetic_ds.adj).to_dense(),
+        adj_view.csr.toarray(), normalize_adjacency(synthetic_ds.adj).csr.toarray(),
         atol=1e-14,
     )
 
@@ -119,7 +112,7 @@ def test_augment_view_preserves_shape_and_invariants(synthetic_ds):
     assert x_view.shape == synthetic_ds.features.shape
     assert adj_view.n == synthetic_ds.num_nodes
     adj_view.validate()
-    assert adj_view.values.min() > 0.0 and adj_view.values.max() <= 1.0
+    assert adj_view.csr.data.min() > 0.0 and adj_view.csr.data.max() <= 1.0
 
 
 def test_augment_view_normalizes_after_dropping():
@@ -128,7 +121,7 @@ def test_augment_view_normalizes_after_dropping():
     rng = np.random.default_rng(77)
     adj_view, _ = augment_view(ds, 0.0, 0.5, "column", rng)
     oracle = normalize_adjacency(drop_edges(ds.adj, 0.5, np.random.default_rng(77)))
-    np.testing.assert_allclose(adj_view.to_dense(), oracle.to_dense(), atol=1e-14)
+    np.testing.assert_allclose(adj_view.csr.toarray(), oracle.csr.toarray(), atol=1e-14)
 
 
 def test_isolated_node_keeps_self_loop():
@@ -139,7 +132,7 @@ def test_isolated_node_keeps_self_loop():
         out = drop_edges(adj, 0.9, np.random.default_rng(seed))
         if out.num_undirected_edges == 0:
             norm = normalize_adjacency(out)
-            np.testing.assert_allclose(norm.to_dense(), np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(norm.csr.toarray(), np.eye(2), atol=1e-15)
             return
     pytest.fail("no seed dropped the edge at p=0.9")
 

@@ -12,6 +12,7 @@ from grafn import (
     save_checkpoint,
     write_dataset,
 )
+from grafn import trainer
 from grafn.cli import main
 
 
@@ -116,7 +117,7 @@ def test_train_lambda_flags_override_config(data_dir, one_split, tmp_path):
                         "hidden_dim = 8\nembed_dim = 8\n")
     out = tmp_path / "run"
     rc = run(["train", data_dir, one_split, "--out", str(out),
-              "--config", str(cfg_file), "--lambda1", "0.25"])
+              "--config", str(cfg_file), "--set", "lambda1=0.25"])
     assert rc == 0
     eff = json.loads((out / "run.json").read_text())["effective_config"]
     assert eff["lambda1"] == 0.25 and eff["lambda2"] == 2.0
@@ -161,7 +162,9 @@ SPLIT_EDITS = {
     ("train", "missing split"),
     ("simsearch", "empty val"),
     ("simsearch", "missing checkpoint"),
+    ("simsearch", "nan checkpoint"),
     ("degree-report", "labeled index -1"),
+    ("degree-report", "nan checkpoint"),
 ])
 def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_path,
                                          capsys, command, case):
@@ -174,6 +177,11 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     if case == "missing checkpoint":
         split, ckpt = one_split, str(tmp_path / "absent.bin")
+    if case == "nan checkpoint":
+        params = load_checkpoint(ckpt)
+        params["enc.w2"][0, 0] = np.nan
+        split, ckpt = one_split, str(tmp_path / "nan.bin")
+        save_checkpoint(ckpt, params)
     argv = {
         "train": ["train", data_dir, str(split), "--out", str(tmp_path / "r")],
         "simsearch": ["simsearch", ckpt, data_dir, "--k", "5", "--split", str(split)],
@@ -184,10 +192,32 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     assert err.startswith("data error: ") and err.count("\n") == 1
     if case == "labeled misses class 2":
         assert "class 2" in err
+    if case == "nan checkpoint":
+        assert "'enc.w2' holds nan at (0, 0)" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "{data}", "{split}", "--out", "{out}", "--seed", "-1"],
+    ["train", "{data}", "{split}", "--out", "{out}", "--lambda1", "0.5"],
+    ["bench", "{data}", "--rate", "0.1", "--n", "1", "--out", "{out}", "--lambda2", "0.5"],
+    ["train", "{data}", "{split}", "--out", "{out}", "--seed", "3"],
+    ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--seed", "3"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--seed", "3"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--seed", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tmp_path,
+                                            capsys, argv):
+    out = tmp_path / "out"
+    slots = dict(data=data_dir, split=one_split, out=str(out),
+                 ckpt=os.path.join(trained_dir, "checkpoint.bin"))
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**slots) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "{data}", "--rate", "0.1", "--n", "1", "--out", "{out}", "--set", "seed=-1"],
     ["train", "{data}", "{split}", "--out", "{out}", "--set", "seed=-1"],
     ["split", "{data}", "--rate", "0.1", "--n", "0", "--out", "{out}"],
     ["split", "{data}", "--rate", "0.1", "--seed", "-1", "--out", "{out}"],
@@ -209,22 +239,40 @@ def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split,
     assert not out.exists()
 
 
-def test_train_nan_divergence_exits_4_with_partial_history(tmp_path):
-    ds = random_dataset(20, num_classes=2, num_features=8, seed=3, name="poison")
-    ds.features[0, 0] = np.nan
-    ds_dir = tmp_path / "poison"
-    write_dataset(ds, str(ds_dir))
-    split_dir = tmp_path / "splits"
-    assert run(["split", str(ds_dir), "--rate", "0.2", "--n", "1",
-                "--out", str(split_dir)]) == 0
+def test_train_nan_divergence_exits_4_with_partial_history(data_dir, one_split, tmp_path,
+                                                           monkeypatch):
+    supervised_loss = trainer.supervised_loss
+    calls = []
+
+    def diverging(tape, *args):
+        # finite for two steps, then NaN
+        calls.append(None)
+        loss = supervised_loss(tape, *args)
+        return tape.scale(loss, np.nan) if len(calls) > 2 else loss
+
+    monkeypatch.setattr(trainer, "supervised_loss", diverging)
     out = tmp_path / "run"
-    rc = run(["train", str(ds_dir), str(split_dir / "split_000.json"),
-              "--out", str(out), "--set", "feature_row_normalize=false",
-              "--set", "hidden_dim=8", "--set", "embed_dim=8",
-              "--set", "max_epochs=5"])
-    assert rc == 4
+    assert run(["train", data_dir, one_split, "--out", str(out), *FAST]) == 4
     partial = json.loads((out / "run.json").read_text())
     assert "error" in partial and len(partial["loss_history"]) >= 1
+    assert len(partial["loss_history"]) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_non_finite_feature_exits_3(data_dir, one_split, tmp_path, capsys, value):
+    bad = tmp_path / "bad"
+    ds = load_dataset(data_dir)
+    write_dataset(ds, str(bad))
+    rows = (bad / "features.tsv").read_text().split("\n")
+    cells = rows[4].split("\t")
+    cells[7] = value
+    rows[4] = "\t".join(cells)
+    (bad / "features.tsv").write_text("\n".join(rows))
+    out = tmp_path / "run"
+    assert run(["train", str(bad), one_split, "--out", str(out), *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: node 4 feature 7 is not finite: {float(value)}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +329,14 @@ def test_simsearch_k_too_large_exits_4(data_dir, trained_dir):
 
 
 def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path, capsys):
+    # a zero second layer gives zero-norm embedding rows, which have no cosine
     params = load_checkpoint(os.path.join(trained_dir, "checkpoint.bin"))
-    params["enc.w2"][0, 0] = np.nan
-    ckpt = tmp_path / "nan.bin"
+    params["enc.w2"][:] = 0.0
+    ckpt = tmp_path / "zero.bin"
     save_checkpoint(str(ckpt), params)
     assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "non-finite norm nan" in err
+    assert err.startswith("numerical failure: ") and "non-finite norm 0.0" in err
 
 
 def test_simsearch_corrupt_checkpoint_exits_3(data_dir, trained_dir, tmp_path):

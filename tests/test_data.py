@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from grafn import (
     DataError,
-    SparseAdjacency,
     SplitSpec,
-    convert_content_cites,
-    degree_buckets,
     generate_splits,
     load_dataset,
-    normalize_adjacency,
     random_dataset,
     write_dataset,
 )
+from grafn.data import convert_content_cites, degree_buckets
+from grafn.sparse import SparseAdjacency, normalize_adjacency
 from tests.conftest import make_dataset
 
 
@@ -49,7 +47,7 @@ def test_load_two_node_toy(tmp_path):
     d = write_toy_dir(tmp_path / "toy", [(0, 1)], [[1.0, 0.0], [0.0, 1.0]], [0, 1])
     ds = load_dataset(d)
     assert ds.num_nodes == 2 and ds.num_features == 2 and ds.class_count == 2
-    np.testing.assert_array_equal(ds.adj.to_dense(), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(ds.adj.csr.toarray(), [[0, 1], [1, 0]])
 
 
 def test_load_reports_malformed_edge_line(tmp_path):
@@ -79,13 +77,21 @@ def test_load_rejects_wrong_feature_arity(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_feature(tmp_path, value):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0, 2.0], [3.0, 4.0]], [0, 0])
+    (tmp_path / "toy" / "features.tsv").write_text(f"1.0\t2.0\n3.0\t{value}\n")
+    with pytest.raises(DataError, match=f"^node 1 feature 1 is not finite: {value}$"):
+        load_dataset(d)
+
+
 def test_write_load_roundtrip_is_identity(tmp_path):
     ds = random_dataset(25, num_classes=3, num_features=6, seed=5)
     write_dataset(ds, str(tmp_path / "rt"))
     back = load_dataset(str(tmp_path / "rt"))
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
-    np.testing.assert_array_equal(back.adj.to_dense(), ds.adj.to_dense())
+    np.testing.assert_array_equal(back.adj.csr.toarray(), ds.adj.csr.toarray())
     assert back.name == ds.name
 
 
@@ -131,6 +137,15 @@ def test_convert_rejects_inconsistent_arity(tmp_path):
         convert_content_cites(str(content), str(tmp_path / "x.cites"), str(tmp_path / "o"))
 
 
+def test_convert_rejects_non_finite_feature(tmp_path):
+    content = tmp_path / "x.content"
+    content.write_text("a 1 0 ml\nb 0 inf db\n")
+    (tmp_path / "x.cites").write_text("")
+    with pytest.raises(DataError, match="node 1 feature 1 is not finite: inf"):
+        convert_content_cites(str(content), str(tmp_path / "x.cites"), str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
 def test_convert_classes_lexicographic_and_first_appearance_order(tmp_path):
     content = tmp_path / "x.content"
     cites = tmp_path / "x.cites"
@@ -156,7 +171,7 @@ def test_convert_load_roundtrip_preserves_toy(tmp_path):
     write_dataset(ds, str(tmp_path / "out2"))
     again = load_dataset(str(tmp_path / "out2"))
     np.testing.assert_array_equal(again.features, ds.features)
-    np.testing.assert_array_equal(again.adj.to_dense(), ds.adj.to_dense())
+    np.testing.assert_array_equal(again.adj.csr.toarray(), ds.adj.csr.toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +181,19 @@ def test_convert_load_roundtrip_preserves_toy(tmp_path):
 def test_normalize_single_isolated_node():
     adj = SparseAdjacency.from_edges(1, [])
     out = normalize_adjacency(adj)
-    np.testing.assert_allclose(out.to_dense(), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(out.csr.toarray(), [[1.0]], atol=1e-15)
 
 
 def test_normalize_two_node_edge_gives_half_everywhere():
     adj = SparseAdjacency.from_edges(2, [(0, 1)])
     out = normalize_adjacency(adj)
-    np.testing.assert_allclose(out.to_dense(), np.full((2, 2), 0.5), atol=1e-15)
+    np.testing.assert_allclose(out.csr.toarray(), np.full((2, 2), 0.5), atol=1e-15)
 
 
 def test_normalize_star_matches_dense_oracle():
     adj = SparseAdjacency.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    out = normalize_adjacency(adj).to_dense()
-    dense = adj.to_dense() + np.eye(4)
+    out = normalize_adjacency(adj).csr.toarray()
+    dense = adj.csr.toarray() + np.eye(4)
     deg = dense.sum(axis=1)
     oracle = dense / np.sqrt(np.outer(deg, deg))
     np.testing.assert_allclose(out, oracle, atol=1e-12)
@@ -192,9 +207,9 @@ def test_normalize_symmetric_spectral_radius_at_most_one(n, seed):
     m = np.triu(rng.random((n, n)) < 0.3, 1)
     adj = SparseAdjacency.from_edges(n, list(zip(*np.nonzero(m))))
     out = normalize_adjacency(adj)
-    dense = out.to_dense()
+    dense = out.csr.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-14)
-    assert out.values.min() > 0.0 and out.values.max() <= 1.0 + 1e-14
+    assert out.csr.data.min() > 0.0 and out.csr.data.max() <= 1.0 + 1e-14
     # power iteration
     v = np.ones(n) / np.sqrt(n)
     for _ in range(50):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from grafn import (
+    DivergenceError,
     NumericsError,
     TrainConfig,
     run_benchmark,
     sim_at_k,
 )
+from grafn import trainer
 from grafn.evaluation import (
     BenchReport,
     ablation_suite,
@@ -152,6 +154,15 @@ def test_benchmark_parallel_matches_sequential(bench_ds):
     par = run_benchmark(bench_ds, 0.1, 2, cfg, base_seed=3, jobs=2)
     assert seq.accuracies == par.accuracies
     assert seq.to_dict() == par.to_dict()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_error_names_split_seed(bench_ds, monkeypatch, jobs):
+    supervised_loss = trainer.supervised_loss
+    monkeypatch.setattr(trainer, "supervised_loss",
+                        lambda tape, *args: tape.scale(supervised_loss(tape, *args), np.nan))
+    with pytest.raises(DivergenceError, match="^split seed 3: non-finite total loss at epoch 1$"):
+        run_benchmark(bench_ds, 0.1, 1, bench_cfg(max_epochs=2), base_seed=3, jobs=jobs)
 
 
 def test_ablation_rows_share_splits_and_reduce_correctly(bench_ds):

@@ -7,21 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafn import (
-    DataError,
-    SparseAdjacency,
-    SparseFeatures,
-    Tape,
-    TrainConfig,
-    init_params,
-    load_checkpoint,
-    normalize_adjacency,
-    predict,
-    save_checkpoint,
-)
+from grafn import DataError, TrainConfig, load_checkpoint, predict, save_checkpoint
 from grafn.gradcheck import finite_diff_check
-from grafn.model import build_from_checkpoint
+from grafn.model import build_from_checkpoint, init_params
 from grafn.objective import SupportSet, snn_distribution
+from grafn.sparse import SparseAdjacency, normalize_adjacency
+from grafn.sparse_features import SparseFeatures
+from grafn.tape import Tape
 from grafn.trainer import prepare_features
 from tests.conftest import make_dataset
 
@@ -260,6 +252,16 @@ def test_checkpoint_corrupt_header_rejected(tmp_path, blob, match):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_rejected(tmp_path, value):
+    params = {"enc.w1": np.ones((2, 3)), "head.b": np.ones((1, 2))}
+    params["head.b"][0, 1] = value
+    path = str(tmp_path / "model.bin")
+    save_checkpoint(path, params)
+    with pytest.raises(DataError, match=rf"parameter 'head.b' holds {value} at \(0, 1\)$"):
+        load_checkpoint(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_checkpoint_corruption_raises_only_data_error(data):
@@ -281,7 +283,8 @@ def test_checkpoint_corruption_raises_only_data_error(data):
             loaded = load_checkpoint(path)
         except DataError:
             return
-        assert all(isinstance(v, np.ndarray) and v.ndim == 2 for v in loaded.values())
+        assert all(isinstance(v, np.ndarray) and v.ndim == 2 and np.isfinite(v).all()
+                   for v in loaded.values())
 
 
 def test_build_from_checkpoint_requires_all_params():

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafn import (
-    ConfigError,
-    NumericsError,
-    SplitSpec,
+from grafn import ConfigError, NumericsError, SplitSpec, TrainConfig
+from grafn.objective import (
     SupportSet,
-    Tape,
-    TrainConfig,
     confident_set,
     label_consistency_loss,
     node_consistency_loss,
@@ -18,7 +14,7 @@ from grafn import (
     supervised_loss,
     total_loss,
 )
-from grafn.tape import Tensor
+from grafn.tape import Tape, Tensor
 
 
 def snn_two_loop_oracle(z, support_idx, y_support, tau):

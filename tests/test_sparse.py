@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from grafn import NumericsError, SparseAdjacency, SparseFeatures
+from grafn import NumericsError
+from grafn.sparse import SparseAdjacency
+from grafn.sparse_features import SparseFeatures
 
 
 def test_from_edges_materializes_both_directions():
     adj = SparseAdjacency.from_edges(2, [(0, 1)])
     np.testing.assert_array_equal(
-        adj.to_dense(), [[0.0, 1.0], [1.0, 0.0]]
+        adj.csr.toarray(), [[0.0, 1.0], [1.0, 0.0]]
     )
     assert adj.num_undirected_edges == 1
 
@@ -16,7 +18,7 @@ def test_from_edges_materializes_both_directions():
 def test_from_edges_collapses_duplicates():
     adj = SparseAdjacency.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert adj.nnz == 2
-    assert adj.values.max() == 1.0
+    assert adj.csr.data.max() == 1.0
 
 
 def test_from_edges_rejects_out_of_range():
@@ -93,7 +95,7 @@ def test_sparse_features_roundtrip():
     rng = np.random.default_rng(0)
     x = (rng.random((6, 9)) < 0.3) * rng.random((6, 9))
     sf = SparseFeatures.from_dense(x)
-    np.testing.assert_array_equal(sf.to_dense(), x)
+    np.testing.assert_array_equal(sf._csr.toarray(), x)
     assert sf.shape == (6, 9)
 
 
@@ -111,14 +113,14 @@ def test_sparse_features_column_scale():
     x = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
     sf = SparseFeatures.from_dense(x).scale_columns(np.array([1.0, 0.0, 1.0]))
     np.testing.assert_array_equal(
-        sf.to_dense(), [[1.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
+        sf._csr.toarray(), [[1.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
     )
 
 
 def test_sparse_features_drop_entries_scales_survivors():
     x = np.ones((20, 50))
     sf = SparseFeatures.from_dense(x)
-    dropped = sf.drop_entries(0.5, np.random.default_rng(3)).to_dense()
+    dropped = sf.drop_entries(0.5, np.random.default_rng(3))._csr.toarray()
     assert set(np.unique(dropped)) == {0.0, 2.0}
     assert abs(dropped.mean() - 1.0) < 0.1
 
@@ -127,5 +129,5 @@ def test_sparse_features_mask_entries_no_rescale():
     x = np.full((10, 10), 5.0)
     masked = SparseFeatures.from_dense(x).mask_entries(
         0.3, np.random.default_rng(4)
-    ).to_dense()
+    )._csr.toarray()
     assert set(np.unique(masked)) <= {0.0, 5.0}

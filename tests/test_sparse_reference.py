@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grafn import SparseAdjacency, drop_edges, normalize_adjacency
+from grafn.augment import drop_edges
+from grafn.sparse import SparseAdjacency, normalize_adjacency
 
 
 def ref_from_edges(n, edges, values=None):

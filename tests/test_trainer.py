@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 from grafn import (
-    AdamState,
     ConfigError,
     DivergenceError,
     NumericsError,
-    Tape,
     TrainConfig,
-    adam_update,
-    build_step_loss,
     fit,
     generate_splits,
-    init_params,
     random_dataset,
+)
+from grafn.tape import Tape, Tensor
+from grafn.model import build_from_checkpoint, init_params, predict
+from grafn.sparse import normalize_adjacency
+from grafn.trainer import (
+    AdamState,
+    StepLosses,
+    adam_update,
+    build_step_loss,
+    prepare_features,
+    row_normalize,
     train_step,
 )
-from grafn.tape import Tensor
-from grafn.model import build_from_checkpoint, predict
-from grafn.sparse import normalize_adjacency
-from grafn.trainer import StepLosses, prepare_features, row_normalize
 from tests.conftest import make_dataset
 
 
@@ -312,7 +314,7 @@ def test_prepare_features_auto_density():
     sparse_x = np.zeros((50, 100))
     sparse_x[0, 0] = 1.0
     sparse_ds = make_dataset(50, [(0, 1)], [0] * 50, 1, features=sparse_x)
-    from grafn import SparseFeatures
+    from grafn.sparse_features import SparseFeatures
 
     assert isinstance(prepare_features(sparse_ds, TrainConfig()), SparseFeatures)
 
