@@ -2,9 +2,9 @@
 
 Each training step draws a fresh weak view and strong view, distinguished
 only by their masking/dropping probabilities (the `weak_*` and `strong_*`
-fields of `TrainConfig`). Dropping acts on the raw
-adjacency; normalization runs afterwards so degrees reflect the thinned
-graph (an isolated node keeps its self-loop).
+fields of `TrainConfig`). Dropping acts on the raw adjacency, masking one
+cached A + I (`sparse.drop_and_normalize`), and normalization follows, so
+degrees reflect the thinned graph (an isolated node keeps its self-loop).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import GraphDataset
 from .errors import ConfigError
-from .sparse import SparseAdjacency, normalize_adjacency
+from .sparse import SparseAdjacency, drop_and_normalize, normalize_adjacency
 from .sparse_features import SparseFeatures
 
 
@@ -42,15 +42,13 @@ def mask_features(
 
 
 def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> SparseAdjacency:
-    """Drop each undirected edge independently with probability p; both CSR
-    directions go together, so the result stays symmetric."""
+    """Renormalized adjacency after dropping each undirected edge with
+    probability p; both CSR directions go together. p = 0 draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"edge drop probability out of range: {p}")
     if p == 0.0:
-        return adj
-    edges, values = adj.upper_triangle()
-    keep = rng.random(len(edges)) >= p
-    return SparseAdjacency.from_edges(adj.n, edges[keep], values=values[keep])
+        return normalize_adjacency(adj)
+    return drop_and_normalize(adj, p, rng)
 
 
 def augment_view(
@@ -68,5 +66,4 @@ def augment_view(
     """
     x = ds.features if features is None else features
     x_view = mask_features(x, p_feature_mask, rng, mode=mask_mode)
-    adj_view = drop_edges(ds.adj, p_edge_drop, rng)
-    return normalize_adjacency(adj_view), x_view
+    return drop_edges(ds.adj, p_edge_drop, rng), x_view

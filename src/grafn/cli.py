@@ -217,7 +217,7 @@ def cmd_degree_report(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_effective_config(args)
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    table = evaluation.ablation_suite(ds, args.rate, args.n, cfg, args.bench_seed)
+    table = evaluation.ablation_suite(ds, args.rate, args.n, cfg, args.bench_seed, jobs=args.jobs)
     for name in evaluation.ABLATION_VARIANTS:
         row = table["variants"][name]
         print(f"{name:>22}: {row['mean_test_accuracy']:.4f} +- {row['std_test_accuracy']:.4f}")
@@ -345,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--bench-seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out")
     _add_config_args(p)
     p.set_defaults(func=cmd_ablate)

@@ -212,13 +212,14 @@ def ablation_suite(
     n_splits: int,
     base_cfg: TrainConfig,
     base_seed: int,
+    jobs: int = 1,
 ) -> dict:
     """Benchmark the loss-coefficient ablations over identical splits and
-    training seeds, isolating the objective change."""
+    training seeds, isolating the objective change; jobs as in run_benchmark."""
     table = {}
     for name, lambdas in ABLATION_VARIANTS.items():
         cfg = dataclasses.replace(base_cfg, **lambdas)
-        report = run_benchmark(ds, label_rate, n_splits, cfg, base_seed)
+        report = run_benchmark(ds, label_rate, n_splits, cfg, base_seed, jobs=jobs)
         table[name] = report.to_dict()
     return {
         "dataset": ds.name,

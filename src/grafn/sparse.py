@@ -11,6 +11,7 @@ enter only through normalize_adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,15 +72,22 @@ class SparseAdjacency:
         """Off-diagonal stored entries counted once per undirected edge."""
         return int(self.degrees().sum()) // 2
 
-    def upper_triangle(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entries with src < dst in row-major order: (m, 2) edges, m values."""
-        rows, cols = self._entry_rows(), self.csr.indices
-        upper = rows < cols
-        return np.column_stack([rows[upper], cols[upper]]), self.csr.data[upper]
-
     def undirected_edge_list(self) -> np.ndarray:
         """Off-diagonal edges as an (m, 2) array with src < dst, row-major order."""
-        return self.upper_triangle()[0]
+        rows, cols = self._entry_rows(), self.csr.indices
+        upper = rows < cols
+        return np.column_stack([rows[upper], cols[upper]])
+
+    @cached_property
+    def _view_base(self) -> tuple[int, sp.csr_matrix, np.ndarray]:
+        """(m, A + I, edge) for edge-dropped views: `edge` holds each entry's index
+        among the m undirected edges, -1 on the diagonal (a self-loop is no edge)."""
+        upper_keys = self.undirected_edge_list() @ [self.n, 1]
+        # scipy's + leaves out zero weights, as it does in normalize_adjacency
+        mat = (sp.triu(self.csr, 1) + sp.tril(self.csr, -1) + sp.identity(self.n)).tocsr()
+        rows, cols = np.repeat(np.arange(self.n), np.diff(mat.indptr)), mat.indices
+        key = np.minimum(rows, cols) * self.n + np.maximum(rows, cols)
+        return len(upper_keys), mat, np.where(rows == cols, -1, np.searchsorted(upper_keys, key))
 
     def validate(self) -> None:
         """Check the structural invariants; raises NumericsError on violation."""
@@ -103,15 +111,26 @@ class SparseAdjacency:
 
 
 def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
-    """GCN renormalization D^-1/2 (A + I) D^-1/2.
+    """GCN renormalization D^-1/2 (A + I) D^-1/2: with degrees d_i of A + I
+    and s_i = d_i^-1/2, each a_ij becomes a_ij * (s_i * s_j), exactly symmetric
+    for any weights. All outputs lie in (0, 1] and zeros are not stored."""
+    return _renormalize(adj.csr + sp.identity(adj.n, format="csr", dtype=np.float64))
 
-    With degrees d_i counted on the loop-augmented graph, each entry a_ij
-    of A + I becomes a_ij / sqrt(d_i * d_j); all outputs lie in (0, 1] and
-    zeros are not stored.
-    """
-    mat = adj.csr + sp.identity(adj.n, format="csr", dtype=np.float64)
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(mat.sum(axis=1)).reshape(-1))
-    rows = np.repeat(np.arange(adj.n), np.diff(mat.indptr))
-    mat.data = inv_sqrt[rows] * mat.data * inv_sqrt[mat.indices]
+
+def drop_and_normalize(adj: SparseAdjacency, p: float,
+                       rng: np.random.Generator) -> SparseAdjacency:
+    """normalize_adjacency of the graph left after dropping each undirected edge
+    with probability p, drawn as one rng.random(m) in undirected_edge_list order."""
+    m, mat, edge = adj._view_base
+    keep = np.append(rng.random(m) >= p, True)[edge]  # edge -1 is the diagonal
+    indptr = np.append(0, np.cumsum(keep))[mat.indptr]
+    return _renormalize(sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), mat.shape))
+
+
+def _renormalize(mat: sp.csr_matrix) -> SparseAdjacency:
+    """Scale in place a CSR storing every diagonal entry; row sums as mat.sum(axis=1)."""
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(mat.data, mat.indptr[:-1]))
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    mat.data = mat.data * (inv_sqrt[rows] * inv_sqrt[mat.indices])
     mat.eliminate_zeros()
     return SparseAdjacency(mat)

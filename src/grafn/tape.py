@@ -168,7 +168,8 @@ class Tape:
         return self._emit(out_data, (a, b), backprop)
 
     def spmm(self, adj: SparseAdjacency, x) -> Tensor:
-        """Sparse @ dense; differentiable w.r.t. the dense side only."""
+        """Sparse @ dense; differentiable w.r.t. the dense side only. Backward uses
+        A for A.T: a SparseAdjacency is exactly symmetric (see normalize_adjacency)."""
         x = _wrap(x)
         if x.data.ndim != 2 or adj.n != x.data.shape[0]:
             raise NumericsError(
@@ -178,7 +179,7 @@ class Tape:
         out_data = mat @ x.data
 
         def backprop(g, mat=mat, x=x):
-            _accumulate(x, mat.T @ g)
+            _accumulate(x, mat @ g)
 
         return self._emit(out_data, (x,), backprop)
 

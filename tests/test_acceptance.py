@@ -411,8 +411,9 @@ def test_criterion_10b_citeseer_table_statistics():
 def synthetic_ablation(synthetic_ds):
     from tests.conftest import SYNTH_RATE, SYNTH_SPLIT_SEED, synth_train_config
 
+    # two worker processes; the table does not depend on jobs
     return ablation_suite(
-        synthetic_ds, SYNTH_RATE, 5, synth_train_config(), base_seed=SYNTH_SPLIT_SEED
+        synthetic_ds, SYNTH_RATE, 5, synth_train_config(), base_seed=SYNTH_SPLIT_SEED, jobs=2
     )
 
 

@@ -444,6 +444,14 @@ def test_ablate_cli(data_dir, tmp_path, capsys):
     assert "supervised_only" in capsys.readouterr().out
 
 
+def test_ablate_jobs_do_not_change_the_table(data_dir, tmp_path):
+    outs = [tmp_path / f"abl{jobs}.json" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert run(["ablate", data_dir, "--rate", "0.1", "--n", "2", "--jobs", str(jobs),
+                    "--out", str(out), *FAST]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

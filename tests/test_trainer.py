@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,14 @@ def test_fit_bit_reproducible(tiny_setup):
     a = fit(ds, split, small_cfg(max_epochs=6))
     b = fit(ds, split, small_cfg(max_epochs=6))
     assert a.to_dict() == b.to_dict()
+
+
+def test_trained_synthetic_loss_digest_is_pinned(trained_synthetic):
+    """The benchmark's sweep trains the same split and seed; any change to a
+    training bit shows here as well as there."""
+    _, result = trained_synthetic
+    blob = np.asarray(result.loss_history, dtype="<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "bd23fc92ceca5fe9"
 
 
 def test_fit_sparse_dense_paths_both_run(tiny_setup):
