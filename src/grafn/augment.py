@@ -17,28 +17,17 @@ from .sparse import SparseAdjacency, drop_and_normalize, normalize_adjacency
 from .sparse_features import SparseFeatures
 
 
-def mask_features(
-    x: np.ndarray | SparseFeatures,
-    p: float,
-    rng: np.random.Generator,
-    mode: str = "column",
-):
-    """Zero features with probability p: whole columns by default, or
-    individual entries with mode='entry'."""
+def mask_features(x: np.ndarray | SparseFeatures, p: float, rng: np.random.Generator):
+    """Zero each feature dimension (column) with probability p, for every node
+    at once: one draw per column, so dense and sparse inputs agree."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"mask probability out of range: {p}")
     if p == 0.0:
         return x
-    if mode == "column":
-        keep = (rng.random(x.shape[1]) >= p).astype(np.float64)
-        if isinstance(x, SparseFeatures):
-            return x.scale_columns(keep)
-        return x * keep[None, :]
-    if mode == "entry":
-        if isinstance(x, SparseFeatures):
-            return x.mask_entries(p, rng)
-        return x * (rng.random(x.shape) >= p)
-    raise ConfigError(f"unknown mask mode {mode!r}")
+    keep = (rng.random(x.shape[1]) >= p).astype(np.float64)
+    if isinstance(x, SparseFeatures):
+        return x.scale_columns(keep)
+    return x * keep[None, :]
 
 
 def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> SparseAdjacency:
@@ -55,7 +44,6 @@ def augment_view(
     ds: GraphDataset,
     p_feature_mask: float,
     p_edge_drop: float,
-    mask_mode: str,
     rng: np.random.Generator,
     features: np.ndarray | SparseFeatures | None = None,
 ) -> tuple[SparseAdjacency, np.ndarray | SparseFeatures]:
@@ -65,5 +53,5 @@ def augment_view(
     `features` overrides ds.features (e.g. a row-normalized or sparse copy).
     """
     x = ds.features if features is None else features
-    x_view = mask_features(x, p_feature_mask, rng, mode=mask_mode)
+    x_view = mask_features(x, p_feature_mask, rng)
     return drop_edges(ds.adj, p_edge_drop, rng), x_view

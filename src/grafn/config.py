@@ -2,7 +2,7 @@
 of the key=value file format, so each default is written once.
 
 Grammar: one `key = value` per line; `#` starts a comment; blank lines are
-ignored. Values are typed by the field (int, float, bool, or str); unknown
+ignored. Values are typed by the field (int, float or bool); unknown
 keys are rejected. Command-line `--set key=value` overrides win over the
 file. The flat view echoed into artifacts is `dataclasses.asdict`.
 """
@@ -25,7 +25,6 @@ class TrainConfig:
     seed: int = 1
     feature_row_normalize: bool = True
     snn_inference: bool = False      # classify by clean-graph SNN argmax
-    sparse_features: str = "auto"    # "auto" | "on" | "off"
     tau: float = 0.1
     nu: float = 0.9
     lambda1: float = 1.0
@@ -34,8 +33,6 @@ class TrainConfig:
     weak_edge_drop: float = 0.3
     strong_feature_mask: float = 0.5
     strong_edge_drop: float = 0.5
-    mask_mode: str = "column"        # "column": per feature dimension; "entry": per cell
-    cross_view_supports: bool = False  # anchors vs supports from the other view
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -51,8 +48,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.sparse_features not in ("auto", "on", "off"):
-            raise ConfigError(f"sparse_features must be auto/on/off, got {self.sparse_features}")
         if self.tau <= 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.nu <= 1.0:
@@ -69,8 +64,6 @@ class TrainConfig:
             or self.weak_edge_drop > self.strong_edge_drop
         ):
             raise ConfigError("weak augmentation must not exceed the strong one")
-        if self.mask_mode not in ("column", "entry"):
-            raise ConfigError(f"mask_mode must be 'column' or 'entry', got {self.mask_mode!r}")
 
 
 def _parse_bool(raw: str) -> bool:

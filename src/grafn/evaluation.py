@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GraphDataset, SplitSpec, degree_buckets, generate_splits
-from .errors import GrafnError, NumericsError
+from .errors import ConfigError, GrafnError, NumericsError
 from .config import TrainConfig
 from .trainer import fit
 
@@ -101,6 +101,8 @@ def run_benchmark(
     jobs > 1 distributes splits over processes; the aggregate is identical
     to the sequential result.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     splits = generate_splits(ds, label_rate, n_splits, base_seed)
     if jobs > 1:
         import multiprocessing as mp

@@ -53,11 +53,11 @@ class GcnEncoder:
                 x = x.drop_entries(self.dropout, rng)
             h = tape.matmul(x, self.w1)
         else:
-            h = tape.dropout(x, self.dropout, rng, training) if training else x
+            h = tape.dropout(x, self.dropout, rng) if training else x
             h = tape.matmul(h, self.w1)
         h = tape.relu(tape.spmm(adj_norm, h))
         if training:
-            h = tape.dropout(h, self.dropout, rng, training)
+            h = tape.dropout(h, self.dropout, rng)
         return tape.spmm(adj_norm, tape.matmul(h, self.w2))
 
 

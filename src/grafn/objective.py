@@ -3,7 +3,8 @@ assignment, confidence-filtered label-guided consistency, supervised
 cross-entropy, and their weighted combination.
 
 The prediction distribution comes from the strongly augmented view, the
-target distribution from the weakly augmented one. `label_consistency_loss`
+target distribution from the weakly augmented one, each comparing a view's
+anchors with that same view's supports. `label_consistency_loss`
 rejects a target that is not tape-detached, so gradients only flow through
 the prediction branch.
 """
@@ -52,7 +53,7 @@ def node_consistency_loss(tape: Tape, z: Tensor, z_prime: Tensor) -> Tensor:
     Zero-embedding rows (a node isolated by edge dropping whose features
     were fully masked) contribute similarity 0 for that step.
     """
-    return tape.scale(tape.mean(tape.row_cosine(z, z_prime, allow_zero=True)), -1.0)
+    return tape.scale(tape.mean(tape.row_cosine(z, z_prime)), -1.0)
 
 
 def snn_distribution(tape: Tape, z_anchor: Tensor, z_support_source: Tensor,
@@ -64,10 +65,8 @@ def snn_distribution(tape: Tape, z_anchor: Tensor, z_support_source: Tensor,
     """
     if tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    anchors = tape.normalize_rows(z_anchor, allow_zero=True)
-    supports = tape.normalize_rows(
-        tape.gather_rows(z_support_source, support.indices), allow_zero=True
-    )
+    anchors = tape.normalize_rows(z_anchor)
+    supports = tape.normalize_rows(tape.gather_rows(z_support_source, support.indices))
     sims = tape.matmul(anchors, tape.transpose(supports))
     weights = tape.softmax_rows(tape.scale(sims, 1.0 / tau))
     return tape.matmul(weights, support.y_support)

@@ -81,10 +81,11 @@ class SparseAdjacency:
     @cached_property
     def _view_base(self) -> tuple[int, sp.csr_matrix, np.ndarray]:
         """(m, A + I, edge) for edge-dropped views: `edge` holds each entry's index
-        among the m undirected edges, -1 on the diagonal (a self-loop is no edge)."""
+        among the m undirected edges, -1 on the diagonal. A + I is built as in
+        normalize_adjacency, so a stored self-loop w (no edge, never drawn) stays
+        w + 1 in every view, and scipy's + leaves out zero weights in both."""
         upper_keys = self.undirected_edge_list() @ [self.n, 1]
-        # scipy's + leaves out zero weights, as it does in normalize_adjacency
-        mat = (sp.triu(self.csr, 1) + sp.tril(self.csr, -1) + sp.identity(self.n)).tocsr()
+        mat = self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
         rows, cols = np.repeat(np.arange(self.n), np.diff(mat.indptr)), mat.indices
         key = np.minimum(rows, cols) * self.n + np.maximum(rows, cols)
         return len(upper_keys), mat, np.where(rows == cols, -1, np.searchsorted(upper_keys, key))

@@ -52,16 +52,6 @@ class SparseFeatures:
         out.data = out.data * keep / (1.0 - p)
         return SparseFeatures(out)
 
-    def mask_entries(self, p: float, rng: np.random.Generator) -> "SparseFeatures":
-        """Zero stored values with probability p, no rescale."""
-        if not 0.0 <= p < 1.0:
-            raise NumericsError(f"mask probability out of range: {p}")
-        if p == 0.0:
-            return self
-        out = self._csr.copy()
-        out.data = out.data * (rng.random(out.data.shape) >= p)
-        return SparseFeatures(out)
-
     def matmul(self, w: np.ndarray) -> np.ndarray:
         return self._csr @ w
 

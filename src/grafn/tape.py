@@ -192,11 +192,11 @@ class Tape:
 
         return self._emit(out_data, (x,), backprop)
 
-    def dropout(self, x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+    def dropout(self, x, p: float, rng: np.random.Generator) -> Tensor:
         if not 0.0 <= p < 1.0:
             raise NumericsError(f"dropout probability out of range: {p}")
         x = _wrap(x)
-        if not training or p == 0.0:
+        if p == 0.0:
             return x
         scale = (rng.random(x.data.shape) >= p) / (1.0 - p)
         out_data = x.data * scale
@@ -206,12 +206,12 @@ class Tape:
 
         return self._emit(out_data, (x,), backprop)
 
-    def row_cosine(self, x, y, allow_zero: bool = False) -> Tensor:
+    def row_cosine(self, x, y) -> Tensor:
         """Per-row cosine similarity; returns a length-N vector.
 
-        A zero-norm row is an error by default. With allow_zero=True its
-        cosine is 0 and no gradient flows through it (such a row is exactly
-        flat in the parameters, so this matches finite differences).
+        A row pair where either row has zero norm has cosine 0 and passes no
+        gradient (such a row is exactly flat in the parameters, so this
+        matches finite differences).
         """
         x, y = _wrap(x), _wrap(y)
         if x.data.shape != y.data.shape:
@@ -221,11 +221,6 @@ class Tape:
         nx = np.linalg.norm(x.data, axis=1)
         ny = np.linalg.norm(y.data, axis=1)
         live = (nx > 0.0) & (ny > 0.0)
-        if not allow_zero and not live.all():
-            for name, norms in (("x", nx), ("y", ny)):
-                bad = np.flatnonzero(norms == 0.0)
-                if bad.size:
-                    raise NumericsError(f"row_cosine: zero-norm row {bad[0]} in {name}")
         nx_safe = np.where(nx > 0.0, nx, 1.0)
         ny_safe = np.where(ny > 0.0, ny, 1.0)
         cos = np.einsum("ij,ij->i", x.data, y.data) / (nx_safe * ny_safe)
@@ -238,19 +233,12 @@ class Tape:
 
         return self._emit(cos, (x, y), backprop)
 
-    def normalize_rows(self, x, allow_zero: bool = False) -> Tensor:
-        """Rows scaled to unit L2 norm.
-
-        A zero-norm row is an error by default; with allow_zero=True it stays
-        zero and passes no gradient.
-        """
+    def normalize_rows(self, x) -> Tensor:
+        """Rows scaled to unit L2 norm; a zero-norm row stays zero and passes
+        no gradient."""
         x = _wrap(x)
         norms = np.linalg.norm(x.data, axis=1, keepdims=True)
         live = norms[:, 0] > 0.0
-        if not allow_zero and not live.all():
-            raise NumericsError(
-                f"normalize_rows: zero-norm row {np.flatnonzero(~live)[0]}"
-            )
         safe = np.where(norms > 0.0, norms, 1.0)
         u = x.data / safe
 

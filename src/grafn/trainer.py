@@ -128,19 +128,18 @@ def build_step_loss(
         unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     tape.new_step()
 
-    adj_w, x_w = augment_view(ds, cfg.weak_feature_mask, cfg.weak_edge_drop,
-                              cfg.mask_mode, rng, features=features)
-    adj_s, x_s = augment_view(ds, cfg.strong_feature_mask, cfg.strong_edge_drop,
-                              cfg.mask_mode, rng, features=features)
+    adj_w, x_w = augment_view(ds, cfg.weak_feature_mask, cfg.weak_edge_drop, rng,
+                              features=features)
+    adj_s, x_s = augment_view(ds, cfg.strong_feature_mask, cfg.strong_edge_drop, rng,
+                              features=features)
     z_w = encoder.encode(tape, adj_w, x_w, training=True, rng=rng)
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
 
     l_nc = node_consistency_loss(tape, z_s, z_w)
 
     support = sample_support(split, label_ids, ds.class_count, rng)
-    pred_source, target_source = (z_w, z_s) if cfg.cross_view_supports else (z_s, z_w)
-    p_pred = snn_distribution(tape, z_s, pred_source, support, cfg.tau)
-    p_live = snn_distribution(tape, z_w, target_source, support, cfg.tau)
+    p_pred = snn_distribution(tape, z_s, z_s, support, cfg.tau)
+    p_live = snn_distribution(tape, z_w, z_w, support, cfg.tau)
     p_target = tape.detach(p_live) if target is None else target(tape, p_live)
     v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
@@ -191,13 +190,10 @@ def row_normalize(features: np.ndarray) -> np.ndarray:
 
 
 def prepare_features(ds: GraphDataset, cfg: TrainConfig):
-    """Optional row normalization plus the dense/sparse representation choice."""
+    """Optional row normalization, then CSR when at most 5% of entries are nonzero."""
     x = row_normalize(ds.features) if cfg.feature_row_normalize else ds.features
-    use_sparse = cfg.sparse_features == "on"
-    if cfg.sparse_features == "auto":
-        density = np.count_nonzero(x) / x.size
-        use_sparse = density <= 0.05
-    return SparseFeatures.from_dense(x) if use_sparse else x
+    density = np.count_nonzero(x) / x.size
+    return SparseFeatures.from_dense(x) if density <= 0.05 else x
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def test_mask_p_zero_is_identity():
 
 def test_mask_column_fraction_concentrates():
     x = np.ones((3, 10_000))
-    out = mask_features(x, 0.3, np.random.default_rng(2), mode="column")
+    out = mask_features(x, 0.3, np.random.default_rng(2))
     zero_cols = np.mean(out[0] == 0.0)
     assert abs(zero_cols - 0.3) < 0.02
     # a masked column is masked for every node
@@ -36,19 +36,9 @@ def test_mask_sparse_dense_column_equivalence():
     inputs agree exactly under the same seed."""
     rng = np.random.default_rng(5)
     x = (rng.random((8, 30)) < 0.3) * rng.random((8, 30))
-    dense = mask_features(x, 0.35, np.random.default_rng(11), mode="column")
-    sparse = mask_features(
-        SparseFeatures.from_dense(x), 0.35, np.random.default_rng(11), mode="column"
-    )
+    dense = mask_features(x, 0.35, np.random.default_rng(11))
+    sparse = mask_features(SparseFeatures.from_dense(x), 0.35, np.random.default_rng(11))
     np.testing.assert_array_equal(sparse._csr.toarray(), dense)
-
-
-def test_mask_entry_mode():
-    x = np.ones((200, 50))
-    out = mask_features(x, 0.25, np.random.default_rng(13), mode="entry")
-    assert abs(np.mean(out == 0.0) - 0.25) < 0.02
-    # entries drop independently: columns are not uniformly dead
-    assert not np.any(np.all(out == 0.0, axis=0))
 
 
 def test_mask_p_out_of_range():
@@ -93,9 +83,7 @@ def test_drop_edges_output_always_symmetric(seed):
 
 
 def test_augment_view_noop_config(synthetic_ds):
-    adj_view, x_view = augment_view(
-        synthetic_ds, 0.0, 0.0, "column", np.random.default_rng(0)
-    )
+    adj_view, x_view = augment_view(synthetic_ds, 0.0, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(x_view, synthetic_ds.features)
     np.testing.assert_allclose(
         adj_view.csr.toarray(), normalize_adjacency(synthetic_ds.adj).csr.toarray(),
@@ -104,14 +92,13 @@ def test_augment_view_noop_config(synthetic_ds):
 
 
 def test_augment_view_seeds_differ(synthetic_ds):
-    a = augment_view(synthetic_ds, 0.3, 0.3, "column", np.random.default_rng(1))
-    b = augment_view(synthetic_ds, 0.3, 0.3, "column", np.random.default_rng(2))
+    a = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(1))
+    b = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(2))
     assert not np.array_equal(a[1], b[1]) or a[0].nnz != b[0].nnz
 
 
 def test_augment_view_preserves_shape_and_invariants(synthetic_ds):
-    adj_view, x_view = augment_view(synthetic_ds, 0.3, 0.3, "column",
-                                    np.random.default_rng(3))
+    adj_view, x_view = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(3))
     assert x_view.shape == synthetic_ds.features.shape
     assert adj_view.n == synthetic_ds.num_nodes
     adj_view.validate()
@@ -122,7 +109,7 @@ def test_augment_view_normalizes_after_dropping():
     """Degrees entering normalization must reflect the thinned graph."""
     ds = random_dataset(30, num_classes=3, num_features=8, p_in=0.4, p_out=0.2, seed=1)
     rng = np.random.default_rng(77)
-    adj_view, _ = augment_view(ds, 0.0, 0.5, "column", rng)
+    adj_view, _ = augment_view(ds, 0.0, 0.5, rng)
     edges = ds.adj.undirected_edge_list()
     kept = edges[np.random.default_rng(77).random(len(edges)) >= 0.5]
     oracle = normalize_adjacency(SparseAdjacency.from_edges(ds.num_nodes, kept))
@@ -146,8 +133,3 @@ def test_augment_config_validation():
         TrainConfig(strong_feature_mask=1.0)
     with pytest.raises(ConfigError, match="weak_edge_drop"):
         TrainConfig(weak_edge_drop=-0.1)
-    with pytest.raises(ConfigError, match="mask_mode"):
-        TrainConfig(mask_mode="rows")
-    # called directly, the mask rejects the unknown mode too
-    with pytest.raises(ConfigError, match="mask mode"):
-        mask_features(np.ones((2, 3)), 0.1, np.random.default_rng(0), mode="rows")

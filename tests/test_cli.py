@@ -227,6 +227,9 @@ def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tm
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "x,2"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", ""],
     ["gradcheck", "--seed", "-1"],
+    ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0", "--out", "{out}"],
+    ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "-3", "--out", "{out}"],
+    ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split, trained_dir,
                                                             tmp_path, capsys, argv):

@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,10 @@ def test_comments_and_blank_lines_are_ignored():
 def test_values_are_typed_per_key():
     values = parse_config_text(
         "max_epochs = 7\nlearning_rate = 1e-2\nsnn_inference = yes\n"
-        "feature_row_normalize = OFF\nmask_mode = entry\n"
+        "feature_row_normalize = OFF\n"
     )
     assert values == {"max_epochs": 7, "learning_rate": 0.01, "snn_inference": True,
-                      "feature_row_normalize": False, "mask_mode": "entry"}
+                      "feature_row_normalize": False}
     assert type(values["max_epochs"]) is int
     assert type(values["learning_rate"]) is float
 
@@ -61,6 +62,17 @@ def test_malformed_overrides(item):
         apply_overrides({}, [item])
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("sparse_features", "auto"), ("mask_mode", "column"), ("cross_view_supports", "false"),
+])
+def test_removed_keys_are_unknown(key, raw):
+    """Former keys are rejected like any unknown key; there is no legacy reader."""
+    with pytest.raises(ConfigError, match=f"cfg:1: unknown key '{key}'"):
+        parse_config_text(f"{key} = {raw}\n", source="cfg")
+    with pytest.raises(ConfigError, match=f"--set: unknown key '{key}'"):
+        apply_overrides({}, [f"{key}={raw}"])
+
+
 def test_overrides_win_over_the_file(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("tau = 0.2\nnu = 0.5\n")
@@ -71,6 +83,14 @@ def test_overrides_win_over_the_file(tmp_path):
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(str(tmp_path / "absent.cfg"))
+
+
+def test_readme_configuration_table_names_every_field():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def test_shipped_configs_hold_the_defaults():
@@ -122,7 +142,6 @@ def configs(draw):
         seed=draw(st.integers(0, 2**63)),
         feature_row_normalize=draw(st.booleans()),
         snn_inference=draw(st.booleans()),
-        sparse_features=draw(st.sampled_from(["auto", "on", "off"])),
         tau=draw(positive),
         nu=draw(st.floats(0.0, 1.0)),
         lambda1=draw(st.floats(0.0, 1e300, allow_nan=False)),
@@ -131,8 +150,6 @@ def configs(draw):
         weak_edge_drop=weak_drop,
         strong_feature_mask=strong_mask,
         strong_edge_drop=strong_drop,
-        mask_mode=draw(st.sampled_from(["column", "entry"])),
-        cross_view_supports=draw(st.booleans()),
     )
 
 

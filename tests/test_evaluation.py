@@ -120,7 +120,7 @@ def bench_ds():
 
 def bench_cfg(**kw):
     defaults = dict(hidden_dim=16, embed_dim=16, max_epochs=10, dropout=0.1,
-                    learning_rate=0.01, seed=2, sparse_features="off")
+                    learning_rate=0.01, seed=2)
     defaults.update(kw)
     return TrainConfig(**defaults)
 

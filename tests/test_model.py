@@ -176,7 +176,7 @@ def test_predict_repeated_calls_identical():
 
 def test_predict_snn_zero_embedding_support_matches_training_distribution():
     # path 0-6 plus node 7, isolated with zero features: its embedding is the
-    # zero row, which training's normalize_rows(allow_zero=True) keeps at zero
+    # zero row, which training's normalize_rows keeps at zero
     labels = [0, 0, 1, 1, 2, 2, 0, 1]
     ds = make_dataset(8, [(i, i + 1) for i in range(6)], labels, 3)
     ds.features[7] = 0.0

@@ -123,11 +123,3 @@ def test_sparse_features_drop_entries_scales_survivors():
     dropped = sf.drop_entries(0.5, np.random.default_rng(3))._csr.toarray()
     assert set(np.unique(dropped)) == {0.0, 2.0}
     assert abs(dropped.mean() - 1.0) < 0.1
-
-
-def test_sparse_features_mask_entries_no_rescale():
-    x = np.full((10, 10), 5.0)
-    masked = SparseFeatures.from_dense(x).mask_entries(
-        0.3, np.random.default_rng(4)
-    )._csr.toarray()
-    assert set(np.unique(masked)) <= {0.0, 5.0}

@@ -40,14 +40,17 @@ def ref_from_edges(n, edges, values=None):
 
 
 def ref_drop_edges(mat, p, rng):
+    """A stored self-loop is no edge: it is never drawn and always kept."""
     if p == 0.0:
         return mat
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    upper = rows < mat.indices
+    upper, loop = rows < mat.indices, rows == mat.indices
     edges = np.column_stack([rows[upper], mat.indices[upper]])
     keep = rng.random(len(edges)) >= p
+    loops = np.column_stack([rows[loop], rows[loop]])
     return ref_from_edges(
-        mat.shape[0], [tuple(e) for e in edges[keep]], values=mat.data[upper][keep]
+        mat.shape[0], [tuple(e) for e in np.concatenate([edges[keep], loops])],
+        values=np.concatenate([mat.data[upper][keep], mat.data[loop]]),
     )
 
 
@@ -99,6 +102,17 @@ def test_matches_loop_reference(graph, p, seed):
     view = drop_edges(adj, p, rng)
     assert_same_csr(view, ref_normalize(ref_drop_edges(ref, p, ref_rng)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**32 - 1))
+@example((2, [(0, 0), (0, 1)], [3.0, 1.0]), 0)
+def test_view_that_drops_nothing_is_the_clean_graph(graph, seed):
+    """A view keeps the clean graph's diagonal, a stored self-loop included."""
+    n, edges, values = graph
+    adj = SparseAdjacency.from_edges(n, edges, values=values)
+    assert_same_csr(drop_edges(adj, 1e-300, np.random.default_rng(seed)),
+                    normalize_adjacency(adj).csr)
 
 
 @settings(max_examples=300, deadline=None)

@@ -125,27 +125,26 @@ def test_dropout_identity_cases():
     tape = Tape()
     x = np.ones((4, 4))
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(tape.dropout(x, 0.0, rng, True).data, x)
-    np.testing.assert_array_equal(tape.dropout(x, 0.7, rng, False).data, x)
+    np.testing.assert_array_equal(tape.dropout(x, 0.0, rng).data, x)
 
 
 def test_dropout_mean_preserved():
     tape = Tape()
     x = np.ones((100, 1000))
-    out = tape.dropout(x, 0.5, np.random.default_rng(42), True)
+    out = tape.dropout(x, 0.5, np.random.default_rng(42))
     assert abs(out.data.mean() - 1.0) < 0.02
 
 
 def test_dropout_seed_bit_identical():
     x = np.ones((50, 50))
-    a = Tape().dropout(x, 0.3, np.random.default_rng(9), True).data
-    b = Tape().dropout(x, 0.3, np.random.default_rng(9), True).data
+    a = Tape().dropout(x, 0.3, np.random.default_rng(9)).data
+    b = Tape().dropout(x, 0.3, np.random.default_rng(9)).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_p_out_of_range():
     with pytest.raises(NumericsError, match="out of range"):
-        Tape().dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0), True)
+        Tape().dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +162,9 @@ def test_row_cosine_trivials():
     np.testing.assert_allclose(tape.row_cosine(a, b).data, np.zeros(2), atol=1e-12)
 
 
-def test_row_cosine_zero_norm_row_error_names_index():
-    x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(NumericsError, match="row 1"):
-        Tape().row_cosine(x, np.ones((2, 2)))
-
-
 def test_row_cosine_allow_zero_snaps_to_zero():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    out = Tape().row_cosine(x, np.ones((2, 2)), allow_zero=True)
+    out = Tape().row_cosine(x, np.ones((2, 2)))
     assert out.data[1] == 0.0
 
 
@@ -298,7 +291,7 @@ def test_each_kernel_gradient(op_name):
         "softmax_ce": lambda: tape.softmax_cross_entropy(w, onehot),
         "add_bias": lambda: tape.softmax_cross_entropy(tape.add_bias(w, bias_w), onehot),
         "dropout": lambda: total(
-            tape, tape.dropout(tape.relu(w), 0.4, np.random.default_rng(8), True)
+            tape, tape.dropout(tape.relu(w), 0.4, np.random.default_rng(8))
         ),
         "spmm_chain": lambda: tape.softmax_cross_entropy(
             tape.spmm(adj, tape.relu(tape.spmm(adj, w))), onehot
@@ -370,7 +363,7 @@ def test_kernels_produce_finite_outputs():
         tape.normalize_rows(x),
         tape.spmm(adj, x),
         tape.row_cosine(x, x + 1.0),
-        tape.dropout(x, 0.5, rng, True),
+        tape.dropout(x, 0.5, rng),
     ]
     for out in outputs:
         assert np.all(np.isfinite(out.data))

@@ -15,6 +15,7 @@ from grafn import (
 from grafn.tape import Tape, Tensor
 from grafn.model import build_from_checkpoint, init_params, predict
 from grafn.sparse import normalize_adjacency
+from grafn.sparse_features import SparseFeatures
 from grafn.trainer import (
     AdamState,
     StepLosses,
@@ -30,7 +31,7 @@ from tests.conftest import make_dataset
 def small_cfg(**kw):
     defaults = dict(
         hidden_dim=16, embed_dim=16, max_epochs=5, dropout=0.1,
-        learning_rate=0.01, seed=1, sparse_features="off",
+        learning_rate=0.01, seed=1,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -169,8 +170,8 @@ def test_node_consistency_gradcheck_ten_nodes():
 
     def build():
         rng = np.random.default_rng(14)
-        adj_a, x_a = augment_view(ds, 0.2, 0.2, "column", rng)
-        adj_b, x_b = augment_view(ds, 0.2, 0.2, "column", rng)
+        adj_a, x_a = augment_view(ds, 0.2, 0.2, rng)
+        adj_b, x_b = augment_view(ds, 0.2, 0.2, rng)
         z_a = encoder.encode(tape, adj_a, x_a, training=False)
         z_b = encoder.encode(tape, adj_b, x_b, training=False)
         return node_consistency_loss(tape, z_a, z_b)
@@ -258,12 +259,6 @@ def test_fit_history_satisfies_combination_identity(tiny_setup):
         assert total == (1.0 * nc + 1.0 * lc) + sup
 
 
-def test_fit_cross_view_supports_mode(tiny_setup):
-    ds, split = tiny_setup
-    res = fit(ds, split, small_cfg(max_epochs=4, cross_view_supports=True))
-    assert len(res.loss_history) == 4
-
-
 def test_fit_divergence_guard_saves_history():
     ds = random_dataset(16, num_classes=2, num_features=8, seed=9)
     ds.features[0, 0] = np.nan  # poisoned input: forward goes non-finite
@@ -289,9 +284,15 @@ def test_trained_synthetic_loss_digest_is_pinned(trained_synthetic):
 
 
 def test_fit_sparse_dense_paths_both_run(tiny_setup):
-    ds, split = tiny_setup
-    dense = fit(ds, split, small_cfg(max_epochs=4, sparse_features="off"))
-    sparse = fit(ds, split, small_cfg(max_epochs=4, sparse_features="on"))
+    """One dataset on each side of prepare_features' 5% density rule."""
+    dense_ds, dense_split = tiny_setup
+    sparse_ds = random_dataset(24, num_classes=3, num_features=200, feature_signal=0.05,
+                               feature_noise=0.005, seed=4)
+    sparse_split = generate_splits(sparse_ds, 0.15, 1, 0)[0]
+    assert isinstance(prepare_features(dense_ds, small_cfg()), np.ndarray)
+    assert isinstance(prepare_features(sparse_ds, small_cfg()), SparseFeatures)
+    dense = fit(dense_ds, dense_split, small_cfg(max_epochs=4))
+    sparse = fit(sparse_ds, sparse_split, small_cfg(max_epochs=4))
     assert len(dense.loss_history) == len(sparse.loss_history) == 4
 
 
@@ -302,8 +303,6 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(dropout=1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(sparse_features="maybe")
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +323,6 @@ def test_prepare_features_auto_density():
     sparse_x = np.zeros((50, 100))
     sparse_x[0, 0] = 1.0
     sparse_ds = make_dataset(50, [(0, 1)], [0] * 50, 1, features=sparse_x)
-    from grafn.sparse_features import SparseFeatures
-
     assert isinstance(prepare_features(sparse_ds, TrainConfig()), SparseFeatures)
 
 
