@@ -134,15 +134,17 @@ def sim_at_k(
     """Mean fraction of each query's k cosine-nearest neighbors (self
     excluded, ties toward the lower index) sharing the query's label.
 
-    The neighbours are selected, not sorted: every similarity above the
-    row's k-th largest is in, and entries equal to it fill the remaining
-    slots in index order.
+    The neighbours are selected, not sorted: `np.partition` finds each
+    row's k-th largest similarity, and only the entries at or above it are
+    ranked, those above it first and then its ties, each in index order.
     """
     n = z.shape[0]
     if not 1 <= k < n:
         raise NumericsError(f"k={k} must be at least 1 and smaller than the node count {n}")
     if query_nodes is None:
         query_nodes = np.arange(n)
+    if len(query_nodes) == 0:
+        raise NumericsError("sim_at_k: the query set is empty")
     norms = np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
     if bad.size:
@@ -155,17 +157,15 @@ def sim_at_k(
         q = query_nodes[start:start + block]
         sims = zn[q] @ zn.T
         sims[np.arange(len(q)), q] = -np.inf
-        kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
-        chosen = sims > kth
-        tied = sims == kth
-        slots = k - np.count_nonzero(chosen, axis=1)
-        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > slots)
-        if crowded.size:
-            ties = tied[crowded]
-            tied[crowded] = ties & (np.cumsum(ties, axis=1) <= slots[crowded, None])
-        chosen |= tied
-        same = label_ids[None, :] == label_ids[q][:, None]
-        fractions[start:start + len(q)] = np.count_nonzero(chosen & same, axis=1) / k
+        kth = np.partition(sims, n - k, axis=1)[:, n - k]
+        # row-major candidates; per row at least k of them, fewer than k above kth
+        idx = np.flatnonzero(sims >= kth[:, None])
+        rows = idx // n
+        idx = idx[np.argsort(2 * rows + (sims.ravel()[idx] == kth[rows]), kind="stable")]
+        first = np.searchsorted(rows, np.arange(len(q)))
+        nbrs = idx[first[:, None] + np.arange(k)] % n
+        same = label_ids[nbrs] == label_ids[q][:, None]
+        fractions[start:start + len(q)] = np.count_nonzero(same, axis=1) / k
     return float(np.mean(fractions))
 
 

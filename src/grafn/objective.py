@@ -56,17 +56,18 @@ def node_consistency_loss(tape: Tape, z: Tensor, z_prime: Tensor) -> Tensor:
     return tape.scale(tape.mean(tape.row_cosine(z, z_prime)), -1.0)
 
 
-def snn_distribution(tape: Tape, z_anchor: Tensor, z_support_source: Tensor,
-                     support: SupportSet, tau: float) -> Tensor:
-    """Soft-nearest-neighbor class distribution per anchor node.
+def snn_distribution(tape: Tape, z: Tensor, support: SupportSet, tau: float) -> Tensor:
+    """Soft-nearest-neighbor class distribution per node of a view.
 
-    Softmax over supports of cosine(anchor, support)/tau, folded with the
-    support one-hot labels; each output row is a distribution over classes.
+    Every row of `z` is an anchor, and the supports are the rows
+    `support.indices` of the same `z`. Softmax over supports of
+    cosine(anchor, support)/tau, folded with the support one-hot labels;
+    each output row is a distribution over classes.
     """
     if tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    anchors = tape.normalize_rows(z_anchor)
-    supports = tape.normalize_rows(tape.gather_rows(z_support_source, support.indices))
+    anchors = tape.normalize_rows(z)
+    supports = tape.normalize_rows(tape.gather_rows(z, support.indices))
     sims = tape.matmul(anchors, tape.transpose(supports))
     weights = tape.softmax_rows(tape.scale(sims, 1.0 / tau))
     return tape.matmul(weights, support.y_support)

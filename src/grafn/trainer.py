@@ -138,8 +138,8 @@ def build_step_loss(
     l_nc = node_consistency_loss(tape, z_s, z_w)
 
     support = sample_support(split, label_ids, ds.class_count, rng)
-    p_pred = snn_distribution(tape, z_s, z_s, support, cfg.tau)
-    p_live = snn_distribution(tape, z_w, z_w, support, cfg.tau)
+    p_pred = snn_distribution(tape, z_s, support, cfg.tau)
+    p_live = snn_distribution(tape, z_w, support, cfg.tau)
     p_target = tape.detach(p_live) if target is None else target(tape, p_live)
     v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
@@ -192,8 +192,8 @@ def row_normalize(features: np.ndarray) -> np.ndarray:
 def prepare_features(ds: GraphDataset, cfg: TrainConfig):
     """Optional row normalization, then CSR when at most 5% of entries are nonzero."""
     x = row_normalize(ds.features) if cfg.feature_row_normalize else ds.features
-    density = np.count_nonzero(x) / x.size
-    return SparseFeatures.from_dense(x) if density <= 0.05 else x
+    nonzero = np.flatnonzero(x)
+    return SparseFeatures.from_dense(x, nonzero) if nonzero.size / x.size <= 0.05 else x
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ def test_sim_at_k_k_too_large():
             sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
 
 
+def test_sim_at_k_rejects_empty_query_set():
+    with pytest.raises(NumericsError, match="query set is empty"):
+        sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), 2, query_nodes=np.array([], int))
+
+
 @pytest.mark.parametrize("row, shown", [
     ([0.0, 0.0, 0.0, 0.0], "0.0"),
     ([1.0, np.nan, 0.0, 0.0], "nan"),

@@ -190,7 +190,7 @@ def test_predict_snn_zero_embedding_support_matches_training_distribution():
     z = encoder.encode(tape, adj, features, training=False)
     support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.label_ids()[labeled]],
                          b=1)
-    dist = snn_distribution(tape, z, z, support, cfg.tau)
+    dist = snn_distribution(tape, z, support, cfg.tau)
     np.testing.assert_array_equal(pred, np.argmax(dist.data, axis=1))
 
 

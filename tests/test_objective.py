@@ -150,7 +150,7 @@ def test_snn_uniform_for_equidistant_anchor():
     z[2] = [0.0, 1.0, 0.0]
     z[3] = [0.0, 0.0, 1.0]
     sup = make_support([1, 2, 3], [0, 1, 2], 3)
-    p = snn_distribution(tape, Tensor(z), Tensor(z), sup, tau=0.1)
+    p = snn_distribution(tape, Tensor(z), sup, tau=0.1)
     np.testing.assert_allclose(p.data[0], [1 / 3] * 3, atol=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_snn_anchor_identical_to_one_support():
         [0.0, 0.0, 1.0],
     ])
     sup = make_support([1, 2, 3], [0, 1, 2], 3)
-    p = snn_distribution(tape, Tensor(z), Tensor(z), sup, tau=0.1)
+    p = snn_distribution(tape, Tensor(z), sup, tau=0.1)
     expected = np.exp(10.0) / (np.exp(10.0) + 2.0)
     assert p.data[0, 0] == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(0.99991, abs=1e-5)
@@ -175,7 +175,7 @@ def test_snn_matches_two_loop_oracle_small():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((6, 4))
     sup = make_support([0, 2, 4], [0, 1, 2], 3)
-    p = snn_distribution(Tape(), Tensor(z), Tensor(z), sup, tau=0.1)
+    p = snn_distribution(Tape(), Tensor(z), sup, tau=0.1)
     oracle = snn_two_loop_oracle(z, sup.indices, sup.y_support, 0.1)
     np.testing.assert_allclose(p.data, oracle, atol=1e-12)
 
@@ -190,7 +190,7 @@ def test_snn_rows_are_distributions(seed):
     z = rng.standard_normal((n, d))
     idx = rng.choice(n, size=c, replace=False)
     p = snn_distribution(
-        Tape(), Tensor(z), Tensor(z), make_support(idx, np.arange(c), c),
+        Tape(), Tensor(z), make_support(idx, np.arange(c), c),
         tau=float(rng.uniform(0.05, 2.0)),
     ).data
     np.testing.assert_allclose(p.sum(axis=1), np.ones(n), atol=1e-10)
@@ -201,18 +201,18 @@ def test_snn_invariant_to_anchor_row_scaling():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((5, 4))
     sup = make_support([1, 3], [0, 1], 2)
-    base = snn_distribution(Tape(), Tensor(z), Tensor(z), sup, tau=0.1).data
+    base = snn_distribution(Tape(), Tensor(z), sup, tau=0.1).data
     scaled = z.copy()
     scaled[0] *= 37.5
-    # supports gathered from the unscaled source so only the anchor changes
-    out = snn_distribution(Tape(), Tensor(scaled), Tensor(z), sup, tau=0.1).data
+    # row 0 is not a support, so only the anchor changes
+    out = snn_distribution(Tape(), Tensor(scaled), sup, tau=0.1).data
     np.testing.assert_allclose(out[0], base[0], atol=1e-10)
 
 
 def test_snn_rejects_bad_tau():
     z = np.ones((2, 2))
     with pytest.raises(ConfigError, match="tau"):
-        snn_distribution(Tape(), Tensor(z), Tensor(z), make_support([0], [0], 1), 0.0)
+        snn_distribution(Tape(), Tensor(z), make_support([0], [0], 1), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -54,3 +54,14 @@ def test_sim_at_k_matches_sort_oracle_for_every_k(case):
         assert sim_at_k(z, labels, k, queries, block) == ref_sim_at_k(
             z, labels, k, queries, block
         )
+
+
+def test_sim_at_k_matches_sort_oracle_across_blocks():
+    """Heavy ties in a 700-node graph: the default 512-row block splits the
+    queries, and for k = 50 the tied candidates cross both blocks."""
+    rng = np.random.default_rng(5)
+    z = rng.integers(-2, 3, size=(700, 3)).astype(np.float64)
+    z[np.linalg.norm(z, axis=1) == 0.0, 0] = 1.0
+    labels = rng.integers(0, 4, 700)
+    for k in (1, 5, 10, 50):
+        assert sim_at_k(z, labels, k) == ref_sim_at_k(z, labels, k)

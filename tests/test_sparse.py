@@ -123,3 +123,19 @@ def test_sparse_features_drop_entries_scales_survivors():
     dropped = sf.drop_entries(0.5, np.random.default_rng(3))._csr.toarray()
     assert set(np.unique(dropped)) == {0.0, 2.0}
     assert abs(dropped.mean() - 1.0) < 0.1
+
+
+def test_sparse_features_drop_entries_stores_no_zeros():
+    """Masked columns and dropped entries leave the CSR; products equal, bit
+    for bit, those of the CSR that keeps them as stored zeros."""
+    rng = np.random.default_rng(6)
+    x = (rng.random((40, 30)) < 0.2) * rng.standard_normal((40, 30))
+    masked = SparseFeatures.from_dense(x).scale_columns((rng.random(30) >= 0.5) * 1.0)
+    dropped = masked.drop_entries(0.5, np.random.default_rng(8))
+    assert np.all(dropped._csr.data != 0.0)
+    ref = masked._csr.copy()
+    ref.data = ref.data * (np.random.default_rng(8).random(ref.nnz) >= 0.5) / 0.5
+    assert np.count_nonzero(ref.data) < ref.nnz
+    w, g = rng.standard_normal((30, 8)), rng.standard_normal((40, 8))
+    assert dropped.matmul(w).tobytes() == (ref @ w).tobytes()
+    assert dropped.grad_right(g).tobytes() == (ref.T @ g).tobytes()

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grafn import (
     ConfigError,
@@ -196,13 +199,13 @@ def test_label_consistency_gradcheck_ten_nodes_all_confident():
     support = sample_support(split, ds.label_ids(), ds.class_count,
                              np.random.default_rng(15))
     base = encoder.encode(Tape(), adj, ds.features, training=False)
-    p_target_frozen = snn_distribution(Tape(), base, base, support, 0.1).data
+    p_target_frozen = snn_distribution(Tape(), base, support, 0.1).data
     v_conf = confident_set(p_target_frozen, 0.0, unlabeled)
     assert len(v_conf) == len(unlabeled)
 
     def build():
         z = encoder.encode(tape, adj, ds.features, training=False)
-        p_pred = snn_distribution(tape, z, z, support, 0.1)
+        p_pred = snn_distribution(tape, z, support, 0.1)
         return label_consistency_loss(
             tape, p_pred, Tensor(p_target_frozen), ds.labels, split.labeled, v_conf
         )
@@ -283,6 +286,19 @@ def test_trained_synthetic_loss_digest_is_pinned(trained_synthetic):
     assert hashlib.sha256(blob).hexdigest()[:16] == "bd23fc92ceca5fe9"
 
 
+def test_sparse_feature_loss_digest_is_pinned():
+    """A fit on 3.2% dense features (the CSR path, with masked columns and
+    feature dropout) keeps its loss bits."""
+    ds = random_dataset(150, num_classes=3, num_features=240, p_in=0.06, p_out=0.01,
+                        feature_signal=0.08, feature_noise=0.005, seed=5)
+    cfg = TrainConfig(hidden_dim=16, embed_dim=16, max_epochs=40, dropout=0.3,
+                      learning_rate=0.01, seed=4)
+    assert isinstance(prepare_features(ds, cfg), SparseFeatures)
+    result = fit(ds, generate_splits(ds, 0.1, 1, base_seed=2)[0], cfg)
+    blob = np.asarray(result.loss_history, dtype="<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "5e5455bb4774b23e"
+
+
 def test_fit_sparse_dense_paths_both_run(tiny_setup):
     """One dataset on each side of prepare_features' 5% density rule."""
     dense_ds, dense_split = tiny_setup
@@ -324,6 +340,37 @@ def test_prepare_features_auto_density():
     sparse_x[0, 0] = 1.0
     sparse_ds = make_dataset(50, [(0, 1)], [0] * 50, 1, features=sparse_x)
     assert isinstance(prepare_features(sparse_ds, TrainConfig()), SparseFeatures)
+
+
+@st.composite
+def feature_matrices(draw):
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    cell = st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 1.0, -2.5, 0.3, 5e-324, -1e-310])
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells).reshape(rows, cols), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_matrices())
+@example((np.zeros((3, 4)), True))                           # all zero
+@example((np.pad([[0.3]], ((0, 3), (0, 4))), True))           # 5%, empty rows
+@example((np.pad([[5e-324, -1e-310]], ((1, 0), (0, 18))), False))  # 5%, subnormal
+@example((np.pad([[5e-324, -1e-310]], ((1, 0), (0, 17))), False))  # 5.3%: dense
+@example((np.pad([[5e-324, 2.0, 1.0]], ((1, 0), (0, 17))), True))  # 7.5%, 5% normalized
+def test_prepare_features_csr_is_scipy_csr_byte_for_byte(case):
+    """CSR exactly at or below 5% nonzero; its arrays and their dtypes are
+    those of scipy.sparse.csr_matrix of the (row-normalized) matrix."""
+    x, normalize = case
+    ds = make_dataset(len(x), [(0, 1)], [0] * len(x), 1, features=x)
+    out = prepare_features(ds, TrainConfig(feature_row_normalize=normalize))
+    x = row_normalize(x) if normalize else x  # may round a subnormal to 0
+    if 20 * np.count_nonzero(x) > x.size:
+        assert isinstance(out, np.ndarray)
+        return
+    want = sp.csr_matrix(x)
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(out._csr, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 def clean_accuracy(ds, encoder, head, index_set, cfg=TrainConfig(), labeled=None):
