@@ -127,6 +127,39 @@ def _round_half_up(x: float) -> int:
 # loading / writing the neutral directory format
 
 
+def _read_features(path: str, n: int, f: int) -> np.ndarray:
+    """One pass checks the row and column counts, numpy's reader parses the rows
+    before the first structural fault; the first fault in file order is raised."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
+    fault = None
+    for i, (lineno, line) in enumerate(rows):
+        cols = line.count("\t") + 1
+        if i == n or cols != f:
+            fault = (f"{path}: more than {n} feature rows" if i == n
+                     else f"{path}:{lineno}: expected {f} columns, got {cols}")
+            del rows[i:]
+            break
+    try:
+        if any(c in text for c in "\x1c\x1d\x1e\x1f"):  # numpy strips these, float() does not
+            raise ValueError
+        features = (np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
+                               ndmin=2) if rows else None)
+    except ValueError:
+        for lineno, line in rows:  # float()'s own message for a cell it rejects
+            try:
+                [float(v) for v in line.split("\t")]
+                np.loadtxt([line], delimiter="\t", comments=None)  # float() also takes '1_0'
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    if fault:
+        raise DataError(fault)
+    if len(rows) != n:
+        raise DataError(f"{path}: expected {n} rows, got {len(rows)}")
+    return features
+
+
 def load_dataset(directory: str) -> GraphDataset:
     """Load and validate a dataset directory; edges are materialized in both
     CSR directions with duplicates collapsed."""
@@ -138,35 +171,18 @@ def load_dataset(directory: str) -> GraphDataset:
         raise DataError(f"missing {meta_path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: expected a JSON object")
     for key in ("name", "num_nodes", "num_features", "num_classes"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")
-    n, f, c = int(meta["num_nodes"]), int(meta["num_features"]), int(meta["num_classes"])
+        if key != "name" and type(meta[key]) is not int:  # bool, float and str fail
+            raise DataError(f"{meta_path}: {key!r} must be an integer, got {meta[key]!r}")
+    n, f, c = meta["num_nodes"], meta["num_features"], meta["num_classes"]
     if min(n, f, c) <= 0:
         raise DataError(f"{meta_path}: N, F, C must be positive")
 
-    feat_path = os.path.join(directory, "features.tsv")
-    features = np.zeros((n, f), dtype=np.float64)
-    with open(feat_path, encoding="utf-8") as fh:
-        count = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if count >= n:
-                raise DataError(f"{feat_path}: more than {n} feature rows")
-            parts = line.split("\t")
-            if len(parts) != f:
-                raise DataError(
-                    f"{feat_path}:{lineno}: expected {f} columns, got {len(parts)}"
-                )
-            try:
-                features[count] = [float(v) for v in parts]
-            except ValueError as exc:
-                raise DataError(f"{feat_path}:{lineno}: {exc}") from exc
-            count += 1
-    if count != n:
-        raise DataError(f"{feat_path}: expected {n} rows, got {count}")
+    features = _read_features(os.path.join(directory, "features.tsv"), n, f)
 
     labels_path = os.path.join(directory, "labels.txt")
     label_ids = np.zeros(n, dtype=np.int64)

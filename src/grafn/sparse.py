@@ -123,9 +123,9 @@ def drop_and_normalize(adj: SparseAdjacency, p: float,
     """normalize_adjacency of the graph left after dropping each undirected edge
     with probability p, drawn as one rng.random(m) in undirected_edge_list order."""
     m, mat, edge = adj._view_base
-    keep = np.append(rng.random(m) >= p, True)[edge]  # edge -1 is the diagonal
-    indptr = np.append(0, np.cumsum(keep))[mat.indptr]
-    return _renormalize(sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), mat.shape))
+    kept = np.flatnonzero(np.append(rng.random(m) >= p, True)[edge])  # edge -1: the diagonal
+    return _renormalize(sp.csr_matrix(
+        (mat.data.take(kept), mat.indices.take(kept), np.searchsorted(kept, mat.indptr)), mat.shape))
 
 
 def _renormalize(mat: sp.csr_matrix) -> SparseAdjacency:

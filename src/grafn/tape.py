@@ -161,9 +161,11 @@ class Tape:
             )
         out_data = a.data @ b.data
 
-        def backprop(g, a=a, b=b):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+        def backprop(g, a=a, b=b):  # _accumulate would drop a constant's product
+            if a.requires_grad:
+                _accumulate(a, g @ b.data.T)
+            if b.requires_grad:
+                _accumulate(b, a.data.T @ g)
 
         return self._emit(out_data, (a, b), backprop)
 

@@ -146,6 +146,21 @@ def test_train_missing_dataset_exits_3(one_split, tmp_path):
                 "--out", str(tmp_path / "r")]) == 3
 
 
+@pytest.mark.parametrize("edit", [{"num_nodes": "abc"}, {"num_nodes": None},
+                                  {"num_features": 24.5}, None],
+                         ids=["string", "null", "float", "list"])
+def test_split_malformed_meta_exits_3(data_dir, tmp_path, capsys, edit):
+    bad = tmp_path / "bad"
+    write_dataset(load_dataset(data_dir), str(bad))
+    meta = json.loads((bad / "meta.json").read_text())
+    (bad / "meta.json").write_text(json.dumps(list(meta.values()) if edit is None
+                                              else {**meta, **edit}))
+    assert run(["split", str(bad), "--rate", "0.1", "--n", "1",
+                "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad / 'meta.json'}: ") and err.count("\n") == 1
+
+
 SPLIT_EDITS = {
     "test index 10**6": lambda obj, labels: obj["test"].append(10**6),
     "empty val": lambda obj, labels: obj.update(val=[]),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ def test_load_rejects_node_out_of_range(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("num_nodes", "abc", "'num_nodes' must be an integer, got 'abc'"),
+    ("num_features", None, "'num_features' must be an integer, got None"),
+    ("num_classes", 2.7, "'num_classes' must be an integer, got 2.7"),
+    ("num_nodes", True, "'num_nodes' must be an integer, got True"),
+    ("num_nodes", 2.0, "'num_nodes' must be an integer, got 2.0"),
+])
+def test_load_rejects_non_integer_meta(tmp_path, key, value, message):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 1], meta={key: value})
+    with pytest.raises(DataError, match=rf"meta.json: {re.escape(message)}$"):
+        load_dataset(d)
+
+
+def test_load_rejects_meta_that_is_not_an_object(tmp_path):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 1])
+    (tmp_path / "toy" / "meta.json").write_text('["toy", 2, 1, 2]')
+    with pytest.raises(DataError, match=r"meta.json: expected a JSON object$"):
+        load_dataset(d)
+
+
 def test_load_rejects_wrong_feature_arity(tmp_path):
     d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 0])
     (tmp_path / "toy" / "features.tsv").write_text("1.0\n1.0\t2.0\n")
@@ -87,9 +108,10 @@ def test_load_rejects_non_finite_feature(tmp_path, value):
 
 def test_write_load_roundtrip_is_identity(tmp_path):
     ds = random_dataset(25, num_classes=3, num_features=6, seed=5)
+    ds.features[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # signed zero, subnormal, 17 digits
     write_dataset(ds, str(tmp_path / "rt"))
     back = load_dataset(str(tmp_path / "rt"))
-    np.testing.assert_array_equal(back.features, ds.features)
+    assert back.features.tobytes() == ds.features.tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.adj.csr.toarray(), ds.adj.csr.toarray())
     assert back.name == ds.name
