@@ -109,9 +109,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_config_text(fh.read(), source=path)
+            text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    return parse_config_text(text, source=path)
 
 
 def apply_overrides(values: dict, overrides: list[str]) -> dict:

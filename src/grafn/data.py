@@ -127,11 +127,22 @@ def _round_half_up(x: float) -> int:
 # loading / writing the neutral directory format
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with universal newlines; a file that cannot be
+    opened or decoded raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_features(path: str, n: int, f: int) -> np.ndarray:
     """One pass checks the row and column counts, numpy's reader parses the rows
     before the first structural fault; the first fault in file order is raised."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
     fault = None
     for i, (lineno, line) in enumerate(rows):
@@ -151,8 +162,9 @@ def _read_features(path: str, n: int, f: int) -> np.ndarray:
             try:
                 [float(v) for v in line.split("\t")]
                 np.loadtxt([line], delimiter="\t", comments=None)  # float() also takes '1_0'
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            except ValueError as exc:  # numpy's "row 0" counts within this one line
+                message = str(exc).replace(" at row 0,", " at")
+                raise DataError(f"{path}:{lineno}: {message}") from None
     if fault:
         raise DataError(fault)
     if len(rows) != n:
@@ -165,10 +177,7 @@ def load_dataset(directory: str) -> GraphDataset:
     CSR directions with duplicates collapsed."""
     meta_path = os.path.join(directory, "meta.json")
     try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"missing {meta_path}") from exc
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path}: invalid JSON ({exc})") from exc
     if not isinstance(meta, dict):
@@ -186,51 +195,49 @@ def load_dataset(directory: str) -> GraphDataset:
 
     labels_path = os.path.join(directory, "labels.txt")
     label_ids = np.zeros(n, dtype=np.int64)
-    with open(labels_path, encoding="utf-8") as fh:
-        count = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if count >= n:
-                raise DataError(f"{labels_path}: more than {n} label lines")
-            try:
-                val = int(line)
-            except ValueError as exc:
-                raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
-            if not 0 <= val < c:
-                raise DataError(
-                    f"{labels_path}:{lineno}: label {val} out of range [0,{c})"
-                )
-            label_ids[count] = val
-            count += 1
+    count = 0
+    for lineno, line in enumerate(_read_text(labels_path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if count >= n:
+            raise DataError(f"{labels_path}: more than {n} label lines")
+        try:
+            val = int(line)
+        except ValueError as exc:
+            raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
+        if not 0 <= val < c:
+            raise DataError(
+                f"{labels_path}:{lineno}: label {val} out of range [0,{c})"
+            )
+        label_ids[count] = val
+        count += 1
     if count != n:
         raise DataError(f"{labels_path}: expected {n} labels, got {count}")
 
     edges_path = os.path.join(directory, "graph.edges")
     edges = []
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
-            for node in (src, dst):
-                if not 0 <= node < n:
-                    raise DataError(
-                        f"{edges_path}:{lineno}: node {node} out of range [0,{n})"
-                    )
-            if src == dst:
-                raise DataError(f"{edges_path}:{lineno}: self-loop {src}")
-            if src > dst:
-                raise DataError(f"{edges_path}:{lineno}: src must be < dst")
-            edges.append((src, dst))
+    for lineno, line in enumerate(_read_text(edges_path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
+        for node in (src, dst):
+            if not 0 <= node < n:
+                raise DataError(
+                    f"{edges_path}:{lineno}: node {node} out of range [0,{n})"
+                )
+        if src == dst:
+            raise DataError(f"{edges_path}:{lineno}: self-loop {src}")
+        if src > dst:
+            raise DataError(f"{edges_path}:{lineno}: src must be < dst")
+        edges.append((src, dst))
 
     adj = SparseAdjacency.from_edges(n, edges)
     labels = np.zeros((n, c), dtype=np.float64)
@@ -287,30 +294,29 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     class_names: list[str] = []
     arity: int | None = None
 
-    with open(content_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise DataError(f"{content_path}:{lineno}: too few fields")
-            node_id, cls = parts[0], parts[-1]
-            feats = parts[1:-1]
-            if arity is None:
-                arity = len(feats)
-            elif len(feats) != arity:
-                raise DataError(
-                    f"{content_path}:{lineno}: feature arity {len(feats)} != {arity}"
-                )
-            if node_id in node_index:
-                raise DataError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
-            node_index[node_id] = len(node_order)
-            node_order.append(node_id)
-            try:
-                feat_rows.append([float(v) for v in feats])
-            except ValueError as exc:
-                raise DataError(f"{content_path}:{lineno}: {exc}") from exc
-            class_names.append(cls)
+    for lineno, line in enumerate(_read_text(content_path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 3:
+            raise DataError(f"{content_path}:{lineno}: too few fields")
+        node_id, cls = parts[0], parts[-1]
+        feats = parts[1:-1]
+        if arity is None:
+            arity = len(feats)
+        elif len(feats) != arity:
+            raise DataError(
+                f"{content_path}:{lineno}: feature arity {len(feats)} != {arity}"
+            )
+        if node_id in node_index:
+            raise DataError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
+        node_index[node_id] = len(node_order)
+        node_order.append(node_id)
+        try:
+            feat_rows.append([float(v) for v in feats])
+        except ValueError as exc:
+            raise DataError(f"{content_path}:{lineno}: {exc}") from exc
+        class_names.append(cls)
 
     if not node_order:
         raise DataError(f"{content_path}: no nodes")
@@ -323,27 +329,26 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     self_loops = 0
     pairs: set[tuple[int, int]] = set()
     duplicates = 0
-    with open(cites_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise DataError(f"{cites_path}:{lineno}: expected '<cited> <citing>'")
-            raw_lines += 1
-            a, b = parts
-            if a not in node_index or b not in node_index:
-                dangling += 1
-                continue
-            i, j = node_index[a], node_index[b]
-            if i == j:
-                self_loops += 1
-                continue
-            pair = (min(i, j), max(i, j))
-            if pair in pairs:
-                duplicates += 1
-            else:
-                pairs.add(pair)
+    for lineno, line in enumerate(_read_text(cites_path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise DataError(f"{cites_path}:{lineno}: expected '<cited> <citing>'")
+        raw_lines += 1
+        a, b = parts
+        if a not in node_index or b not in node_index:
+            dangling += 1
+            continue
+        i, j = node_index[a], node_index[b]
+        if i == j:
+            self_loops += 1
+            continue
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            duplicates += 1
+        else:
+            pairs.add(pair)
 
     adj = SparseAdjacency.from_edges(n, sorted(pairs))
     labels = np.zeros((n, len(classes)), dtype=np.float64)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import DataError, NumericsError
+from .objective import SupportSet, snn_distribution
 from .sparse import SparseAdjacency
 from .sparse_features import SparseFeatures
 from .tape import Parameter, Tape, Tensor
@@ -104,15 +105,9 @@ def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
     z = encoder.encode(tape, adj_norm, x, training=False)
     if not cfg.snn_inference:
         return np.argmax(head.classify(tape, z).data, axis=1)
-    norms = np.linalg.norm(z.data, axis=1, keepdims=True)
-    zn = z.data / np.where(norms > 0.0, norms, 1.0)
-    logits = zn @ zn[labeled].T / cfg.tau
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    y_s = np.zeros((len(labeled), head.w.data.shape[1]))
-    y_s[np.arange(len(labeled)), label_ids[labeled]] = 1.0
-    return np.argmax(w @ y_s, axis=1)
+    support = SupportSet(labeled, np.eye(head.w.data.shape[1])[label_ids[labeled]])
+    p = snn_distribution(tape, tape.normalize_rows(z), support, cfg.tau)
+    return np.argmax(p.data, axis=1)
 
 
 # ---------------------------------------------------------------------------

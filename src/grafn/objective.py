@@ -27,7 +27,6 @@ class SupportSet:
 
     indices: np.ndarray   # (b*C,) node ids, class-major order
     y_support: np.ndarray  # (b*C, C) one-hot rows
-    b: int
 
 
 def sample_support(split: SplitSpec, label_ids: np.ndarray, num_classes: int,
@@ -43,32 +42,32 @@ def sample_support(split: SplitSpec, label_ids: np.ndarray, num_classes: int,
     indices = np.concatenate(picks)
     y_support = np.zeros((b * num_classes, num_classes))
     y_support[np.arange(b * num_classes), np.repeat(np.arange(num_classes), b)] = 1.0
-    return SupportSet(indices=indices, y_support=y_support, b=b)
+    return SupportSet(indices=indices, y_support=y_support)
 
 
-def node_consistency_loss(tape: Tape, z: Tensor, z_prime: Tensor) -> Tensor:
-    """Negative mean per-node cosine similarity between the two views;
-    gradients flow into both.
+def node_consistency_loss(tape: Tape, u: Tensor, u_prime: Tensor) -> Tensor:
+    """Negative mean per-node cosine similarity between the two views, as the
+    row dot of their normalized embeddings; gradients flow into both.
 
-    Zero-embedding rows (a node isolated by edge dropping whose features
-    were fully masked) contribute similarity 0 for that step.
+    Every row of `u` and `u_prime` is a unit row or a zero row
+    (`tape.normalize_rows` of a view). A zero row (a node isolated by edge
+    dropping whose features were fully masked) contributes similarity 0.
     """
-    return tape.scale(tape.mean(tape.row_cosine(z, z_prime)), -1.0)
+    return tape.scale(tape.mean(tape.row_dot(u, u_prime)), -1.0)
 
 
-def snn_distribution(tape: Tape, z: Tensor, support: SupportSet, tau: float) -> Tensor:
+def snn_distribution(tape: Tape, u: Tensor, support: SupportSet, tau: float) -> Tensor:
     """Soft-nearest-neighbor class distribution per node of a view.
 
-    Every row of `z` is an anchor, and the supports are the rows
-    `support.indices` of the same `z`. Softmax over supports of
+    Every row of `u` is a unit row or a zero row (`tape.normalize_rows` of
+    the view's embedding) and is an anchor; the supports are the rows
+    `support.indices` of the same `u`. Softmax over supports of
     cosine(anchor, support)/tau, folded with the support one-hot labels;
     each output row is a distribution over classes.
     """
     if tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    anchors = tape.normalize_rows(z)
-    supports = tape.normalize_rows(tape.gather_rows(z, support.indices))
-    sims = tape.matmul(anchors, tape.transpose(supports))
+    sims = tape.matmul(u, tape.transpose(tape.gather_rows(u, support.indices)))
     weights = tape.softmax_rows(tape.scale(sims, 1.0 / tau))
     return tape.matmul(weights, support.y_support)
 

@@ -208,32 +208,17 @@ class Tape:
 
         return self._emit(out_data, (x,), backprop)
 
-    def row_cosine(self, x, y) -> Tensor:
-        """Per-row cosine similarity; returns a length-N vector.
-
-        A row pair where either row has zero norm has cosine 0 and passes no
-        gradient (such a row is exactly flat in the parameters, so this
-        matches finite differences).
-        """
+    def row_dot(self, x, y) -> Tensor:
+        """Per-row inner product; returns a length-N vector."""
         x, y = _wrap(x), _wrap(y)
-        if x.data.shape != y.data.shape:
-            raise NumericsError(
-                f"row_cosine shape mismatch: {x.data.shape} vs {y.data.shape}"
-            )
-        nx = np.linalg.norm(x.data, axis=1)
-        ny = np.linalg.norm(y.data, axis=1)
-        live = (nx > 0.0) & (ny > 0.0)
-        nx_safe = np.where(nx > 0.0, nx, 1.0)
-        ny_safe = np.where(ny > 0.0, ny, 1.0)
-        cos = np.einsum("ij,ij->i", x.data, y.data) / (nx_safe * ny_safe)
-        cos = np.where(live, cos, 0.0)
+        if x.data.ndim != 2 or x.data.shape != y.data.shape:
+            raise NumericsError(f"row_dot shape mismatch: {x.data.shape} vs {y.data.shape}")
 
-        def backprop(g, x=x, y=y, nx=nx_safe, ny=ny_safe, cos=cos, live=live):
-            gc = (g * live)[:, None]
-            _accumulate(x, gc * (y.data / (nx * ny)[:, None] - cos[:, None] * x.data / (nx * nx)[:, None]))
-            _accumulate(y, gc * (x.data / (nx * ny)[:, None] - cos[:, None] * y.data / (ny * ny)[:, None]))
+        def backprop(g, x=x, y=y):
+            _accumulate(x, g[:, None] * y.data)
+            _accumulate(y, g[:, None] * x.data)
 
-        return self._emit(cos, (x, y), backprop)
+        return self._emit(np.einsum("ij,ij->i", x.data, y.data), (x, y), backprop)
 
     def normalize_rows(self, x) -> Tensor:
         """Rows scaled to unit L2 norm; a zero-norm row stays zero and passes

@@ -135,11 +135,12 @@ def build_step_loss(
     z_w = encoder.encode(tape, adj_w, x_w, training=True, rng=rng)
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
 
-    l_nc = node_consistency_loss(tape, z_s, z_w)
+    u_s, u_w = tape.normalize_rows(z_s), tape.normalize_rows(z_w)
+    l_nc = node_consistency_loss(tape, u_s, u_w)
 
     support = sample_support(split, label_ids, ds.class_count, rng)
-    p_pred = snn_distribution(tape, z_s, support, cfg.tau)
-    p_live = snn_distribution(tape, z_w, support, cfg.tau)
+    p_pred = snn_distribution(tape, u_s, support, cfg.tau)
+    p_live = snn_distribution(tape, u_w, support, cfg.tau)
     p_target = tape.detach(p_live) if target is None else target(tape, p_live)
     v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)

@@ -33,7 +33,7 @@ from grafn.evaluation import ablation_suite, degree_accuracy_report, run_benchma
 from grafn.model import build_from_checkpoint, init_params, predict
 from grafn.objective import SupportSet, sample_support, snn_distribution
 from grafn.sparse import normalize_adjacency
-from grafn.tape import Tape, Tensor
+from grafn.tape import Tape
 from grafn.trainer import build_step_loss, prepare_features
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -125,8 +125,9 @@ def test_criterion_02_snn_matches_brute_force():
         y = np.zeros((b * c, c))
         y[np.arange(b * c), np.repeat(np.arange(c), b)] = 1.0
         tau = float(rng.uniform(0.05, 1.0))
-        support = SupportSet(indices=idx, y_support=y, b=b)
-        p = snn_distribution(Tape(), Tensor(z), support, tau).data
+        support = SupportSet(indices=idx, y_support=y)
+        tape = Tape()
+        p = snn_distribution(tape, tape.normalize_rows(z), support, tau).data
         oracle = _snn_brute_force(z, idx, y, tau)
         worst = max(worst, np.abs(p - oracle).max())
         worst_sum = max(worst_sum, np.abs(p.sum(axis=1) - 1.0).max())
@@ -169,7 +170,7 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
     z = encoder.encode(tape, adj_norm, ds.features, training=False)
     support = sample_support(split, ds.label_ids(), ds.class_count,
                              np.random.default_rng(4))
-    p_live = snn_distribution(tape, z, support, tau=0.1)
+    p_live = snn_distribution(tape, tape.normalize_rows(z), support, tau=0.1)
     # non-uniform constant prediction: a uniform one would make the target
     # gradient vanish through the softmax regardless of detachment
     const_pred = np.tile(
@@ -184,7 +185,7 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
 
     tape.new_step()
     z = encoder.encode(tape, adj_norm, ds.features, training=False)
-    p_live = snn_distribution(tape, z, support, tau=0.1)
+    p_live = snn_distribution(tape, tape.normalize_rows(z), support, tau=0.1)
     loss_live = tape.cross_entropy_rows(p_live, const_pred)
     tape.backward(loss_live)
     nonzero_when_undetached = any(

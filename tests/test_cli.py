@@ -161,6 +161,43 @@ def test_split_malformed_meta_exits_3(data_dir, tmp_path, capsys, edit):
     assert err.startswith(f"data error: {bad / 'meta.json'}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case,code", [
+    ("labels.txt ends in ff fe", 3),
+    ("features.tsv missing", 3),
+    ("config holds byte ff", 2),
+    ("config is a directory", 2),
+    ("raw.content holds byte ff", 3),
+])
+def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_split, tmp_path,
+                                                              capsys, case, code):
+    bad = tmp_path / "bad"
+    write_dataset(load_dataset(data_dir), str(bad))
+    argv = ["split", str(bad), "--rate", "0.1", "--n", "1", "--out", str(tmp_path / "s")]
+    if case == "labels.txt ends in ff fe":
+        culprit = bad / "labels.txt"
+        culprit.write_bytes(culprit.read_bytes() + b"\xff\xfe")
+    elif case == "features.tsv missing":
+        culprit = bad / "features.tsv"
+        culprit.unlink()
+    elif case == "raw.content holds byte ff":
+        culprit, cites = tmp_path / "raw.content", tmp_path / "raw.cites"
+        culprit.write_bytes(b"a 1 0 x\nb 0 1 y\xff\n")
+        cites.write_text("a b\n")
+        argv = ["convert", str(culprit), str(cites), str(tmp_path / "conv")]
+    else:
+        culprit = tmp_path / "c.cfg"
+        if case == "config holds byte ff":
+            culprit.write_bytes(b"tau = 0.2\n\xff\n")
+        else:
+            culprit.mkdir()
+        argv = ["train", str(bad), one_split, "--out", str(tmp_path / "r"),
+                "--config", str(culprit)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    prefix = {2: "config error: ", 3: "data error: "}[code]
+    assert err.startswith(prefix) and str(culprit) in err and err.count("\n") == 1
+
+
 SPLIT_EDITS = {
     "test index 10**6": lambda obj, labels: obj["test"].append(10**6),
     "empty val": lambda obj, labels: obj.update(val=[]),

@@ -150,5 +150,6 @@ def test_cells_only_float_takes_are_rejected(tmp_path, value):
     path = tmp_path / "features.tsv"
     path.write_text(f"1\t2\n3\t{value}\n")
     assert ref_read_features(str(path), 2, 2)[1, 1] == float(value)
-    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: could not convert string '{value}'"):
+    message = f"{path}:2: could not convert string '{value}' to float64 at column 2."
+    with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
         _read_features(str(path), 2, 2)

@@ -188,9 +188,8 @@ def test_predict_snn_zero_embedding_support_matches_training_distribution():
     adj = normalize_adjacency(ds.adj)
     pred = predict(encoder, head, adj, features, cfg, labeled, ds.label_ids())
     z = encoder.encode(tape, adj, features, training=False)
-    support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.label_ids()[labeled]],
-                         b=1)
-    dist = snn_distribution(tape, z, support, cfg.tau)
+    support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.label_ids()[labeled]])
+    dist = snn_distribution(tape, tape.normalize_rows(z), support, cfg.tau)
     np.testing.assert_array_equal(pred, np.argmax(dist.data, axis=1))
 
 

@@ -40,7 +40,7 @@ def make_support(indices, labels_of, c):
     indices = np.asarray(indices)
     y = np.zeros((len(indices), c))
     y[np.arange(len(indices)), labels_of] = 1.0
-    return SupportSet(indices=indices, y_support=y, b=len(indices) // c)
+    return SupportSet(indices=indices, y_support=y)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +67,15 @@ def test_loss_config_validation():
 
 def test_node_consistency_equal_views():
     tape = Tape()
-    z = np.random.default_rng(0).standard_normal((4, 3))
-    assert node_consistency_loss(tape, Tensor(z), Tensor(z)).item() == pytest.approx(-1.0)
+    u = tape.normalize_rows(np.random.default_rng(0).standard_normal((4, 3)))
+    assert node_consistency_loss(tape, u, u).item() == pytest.approx(-1.0)
 
 
 def test_node_consistency_opposite_views():
     tape = Tape()
     z = np.random.default_rng(1).standard_normal((4, 3))
-    assert node_consistency_loss(tape, Tensor(z), Tensor(-z)).item() == pytest.approx(1.0)
+    loss = node_consistency_loss(tape, tape.normalize_rows(z), tape.normalize_rows(-z))
+    assert loss.item() == pytest.approx(1.0)
 
 
 def test_node_consistency_matches_row_oracle():
@@ -84,7 +85,8 @@ def test_node_consistency_matches_row_oracle():
         z[i] @ zp[i] / (np.linalg.norm(z[i]) * np.linalg.norm(zp[i]))
         for i in range(5)
     ]
-    loss = node_consistency_loss(Tape(), Tensor(z), Tensor(zp)).item()
+    tape = Tape()
+    loss = node_consistency_loss(tape, tape.normalize_rows(z), tape.normalize_rows(zp)).item()
     assert loss == pytest.approx(-np.mean(cos), abs=1e-12)
 
 
@@ -93,8 +95,19 @@ def test_node_consistency_gradients_reach_both_views():
     rng = np.random.default_rng(3)
     a = tape.parameter(rng.standard_normal((4, 3)), "a")
     b = tape.parameter(rng.standard_normal((4, 3)), "b")
-    tape.backward(node_consistency_loss(tape, a, b))
+    tape.backward(node_consistency_loss(tape, tape.normalize_rows(a), tape.normalize_rows(b)))
     assert np.abs(a.grad).max() > 0 and np.abs(b.grad).max() > 0
+
+
+def test_node_consistency_zero_row_has_similarity_zero_and_no_gradient():
+    tape = Tape()
+    a = tape.parameter(np.array([[1.0, 0.0], [0.0, 0.0]]), "a")
+    b = tape.parameter(np.array([[3.0, 4.0], [1.0, 2.0]]), "b")
+    loss = node_consistency_loss(tape, tape.normalize_rows(a), tape.normalize_rows(b))
+    assert loss.item() == pytest.approx(-(3 / 5 + 0.0) / 2, abs=1e-15)  # row 0: cos = 3/5
+    tape.backward(loss)
+    assert not a.grad[1].any() and not b.grad[1].any()
+    assert a.grad[0].any() and b.grad[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +124,7 @@ def test_sample_support_b_is_min_class_count():
     label_ids = np.array([0] * 3 + [1] * 1 + [2] * 2 + [0])
     split = _split_with(np.arange(6))  # classes among labeled: {0:3, 1:1, 2:2}
     sup = sample_support(split, label_ids, 3, np.random.default_rng(0))
-    assert sup.b == 1
-    assert len(sup.indices) == 3
+    assert len(sup.indices) == 1 * 3
     np.testing.assert_array_equal(
         label_ids[sup.indices], [0, 1, 2]
     )
@@ -122,7 +134,7 @@ def test_sample_support_two_per_class():
     label_ids = np.repeat(np.arange(7), 2)
     split = _split_with(np.arange(14))
     sup = sample_support(split, label_ids, 7, np.random.default_rng(1))
-    assert sup.b == 2 and len(sup.indices) == 14
+    assert len(sup.indices) == 2 * 7
     # one-hot rows are class-major
     np.testing.assert_array_equal(np.argmax(sup.y_support, axis=1), np.repeat(np.arange(7), 2))
 
@@ -150,7 +162,7 @@ def test_snn_uniform_for_equidistant_anchor():
     z[2] = [0.0, 1.0, 0.0]
     z[3] = [0.0, 0.0, 1.0]
     sup = make_support([1, 2, 3], [0, 1, 2], 3)
-    p = snn_distribution(tape, Tensor(z), sup, tau=0.1)
+    p = snn_distribution(tape, tape.normalize_rows(z), sup, tau=0.1)
     np.testing.assert_allclose(p.data[0], [1 / 3] * 3, atol=1e-12)
 
 
@@ -165,7 +177,7 @@ def test_snn_anchor_identical_to_one_support():
         [0.0, 0.0, 1.0],
     ])
     sup = make_support([1, 2, 3], [0, 1, 2], 3)
-    p = snn_distribution(tape, Tensor(z), sup, tau=0.1)
+    p = snn_distribution(tape, tape.normalize_rows(z), sup, tau=0.1)
     expected = np.exp(10.0) / (np.exp(10.0) + 2.0)
     assert p.data[0, 0] == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(0.99991, abs=1e-5)
@@ -175,7 +187,8 @@ def test_snn_matches_two_loop_oracle_small():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((6, 4))
     sup = make_support([0, 2, 4], [0, 1, 2], 3)
-    p = snn_distribution(Tape(), Tensor(z), sup, tau=0.1)
+    tape = Tape()
+    p = snn_distribution(tape, tape.normalize_rows(z), sup, tau=0.1)
     oracle = snn_two_loop_oracle(z, sup.indices, sup.y_support, 0.1)
     np.testing.assert_allclose(p.data, oracle, atol=1e-12)
 
@@ -189,8 +202,9 @@ def test_snn_rows_are_distributions(seed):
     d = rng.integers(2, 6)
     z = rng.standard_normal((n, d))
     idx = rng.choice(n, size=c, replace=False)
+    tape = Tape()
     p = snn_distribution(
-        Tape(), Tensor(z), make_support(idx, np.arange(c), c),
+        tape, tape.normalize_rows(z), make_support(idx, np.arange(c), c),
         tau=float(rng.uniform(0.05, 2.0)),
     ).data
     np.testing.assert_allclose(p.sum(axis=1), np.ones(n), atol=1e-10)
@@ -201,18 +215,20 @@ def test_snn_invariant_to_anchor_row_scaling():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((5, 4))
     sup = make_support([1, 3], [0, 1], 2)
-    base = snn_distribution(Tape(), Tensor(z), sup, tau=0.1).data
+    tape = Tape()
+    base = snn_distribution(tape, tape.normalize_rows(z), sup, tau=0.1).data
     scaled = z.copy()
     scaled[0] *= 37.5
     # row 0 is not a support, so only the anchor changes
-    out = snn_distribution(Tape(), Tensor(scaled), sup, tau=0.1).data
+    out = snn_distribution(tape, tape.normalize_rows(scaled), sup, tau=0.1).data
     np.testing.assert_allclose(out[0], base[0], atol=1e-10)
 
 
 def test_snn_rejects_bad_tau():
-    z = np.ones((2, 2))
+    tape = Tape()
+    u = tape.normalize_rows(np.ones((2, 2)))
     with pytest.raises(ConfigError, match="tau"):
-        snn_distribution(Tape(), Tensor(z), make_support([0], [0], 1), 0.0)
+        snn_distribution(tape, u, make_support([0], [0], 1), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -148,24 +148,20 @@ def test_dropout_p_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# row_cosine
+# row_dot
 
 
-def test_row_cosine_trivials():
+def test_row_dot_trivials():
     tape = Tape()
     rng = np.random.default_rng(1)
     x = rand(rng, 5, 3)
-    np.testing.assert_allclose(tape.row_cosine(x, x).data, np.ones(5), atol=1e-12)
-    np.testing.assert_allclose(tape.row_cosine(x, -x).data, -np.ones(5), atol=1e-12)
+    np.testing.assert_allclose(tape.row_dot(x, x).data, (x * x).sum(axis=1), atol=1e-12)
+    np.testing.assert_allclose(tape.row_dot(x, -x).data, -(x * x).sum(axis=1), atol=1e-12)
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
     b = np.array([[0.0, 3.0], [4.0, 0.0]])
-    np.testing.assert_allclose(tape.row_cosine(a, b).data, np.zeros(2), atol=1e-12)
-
-
-def test_row_cosine_allow_zero_snaps_to_zero():
-    x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    out = Tape().row_cosine(x, np.ones((2, 2)))
-    assert out.data[1] == 0.0
+    np.testing.assert_array_equal(tape.row_dot(a, b).data, np.zeros(2))
+    with pytest.raises(NumericsError, match="row_dot shape mismatch"):
+        tape.row_dot(a, b[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def test_quadratic_loss_matches_analytic_gradient():
 
 @pytest.mark.parametrize("op_name", [
     "relu", "normalize_rows", "softmax_rows", "transpose", "gather",
-    "row_cosine", "cross_entropy", "softmax_ce", "add_bias", "dropout",
+    "row_dot", "cross_entropy", "softmax_ce", "add_bias", "dropout",
     "spmm_chain",
 ])
 def test_each_kernel_gradient(op_name):
@@ -284,7 +280,7 @@ def test_each_kernel_gradient(op_name):
         "softmax_rows": lambda: total(tape, tape.matmul(tape.softmax_rows(w), rand(np.random.default_rng(3), 4, 2))),
         "transpose": lambda: total(tape, tape.matmul(tape.transpose(w), w)),
         "gather": lambda: total(tape, tape.gather_rows(w, np.array([0, 2, 2]))),
-        "row_cosine": lambda: tape.mean(tape.row_cosine(w, other)),
+        "row_dot": lambda: tape.mean(tape.row_dot(tape.normalize_rows(w), tape.add(w, other))),
         "cross_entropy": lambda: tape.cross_entropy_rows(
             targets, tape.softmax_rows(tape.gather_rows(w, np.array([0, 1, 3])))
         ),
@@ -362,7 +358,7 @@ def test_kernels_produce_finite_outputs():
         tape.softmax_rows(x),
         tape.normalize_rows(x),
         tape.spmm(adj, x),
-        tape.row_cosine(x, x + 1.0),
+        tape.row_dot(x, x + 1.0),
         tape.dropout(x, 0.5, rng),
     ]
     for out in outputs:
