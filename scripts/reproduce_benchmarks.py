@@ -59,11 +59,11 @@ def main():
             "--seed", str(args.seed), "--out", os.path.join(out, "splits")])
         sh(["train", ds_dir, os.path.join(out, "splits", "split_000.json"),
             "--config", config, "--out", os.path.join(out, "run0")])
+        # both read the training config from run0/run.json
         sh(["simsearch", os.path.join(out, "run0", "checkpoint.bin"), ds_dir,
-            "--k", "5", "--k", "10", "--config", config,
-            "--out", os.path.join(out, "simsearch.json")])
+            "--k", "5", "--k", "10", "--out", os.path.join(out, "simsearch.json")])
         sh(["degree-report", os.path.join(out, "run0", "checkpoint.bin"), ds_dir,
-            os.path.join(out, "splits", "split_000.json"), "--config", config,
+            os.path.join(out, "splits", "split_000.json"),
             "--out", os.path.join(out, "degree.json")])
 
 

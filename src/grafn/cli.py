@@ -21,7 +21,8 @@ from .config import TrainConfig, apply_overrides, build_train_config, load_confi
 from .data import SplitSpec, convert_content_cites, generate_splits, load_dataset
 from .errors import ConfigError, DataError, DivergenceError, GrafnError, NumericsError
 from .gradcheck import finite_diff_check
-from .model import build_from_checkpoint, init_params, load_checkpoint, predict, save_checkpoint
+from .model import (build_from_checkpoint, embed, init_params, load_checkpoint, predict,
+                    save_checkpoint)
 from .sparse import normalize_adjacency
 from .tape import Tape
 from .trainer import build_step_loss, fit, prepare_features
@@ -46,17 +47,25 @@ def _load_effective_config(args) -> TrainConfig:
     return build_train_config(apply_overrides(values, args.set or []))
 
 
-def _load_model(path: str, ds):
-    """Checkpoint encoder and head, checked against the dataset's feature
-    and class counts."""
-    tape, encoder, head = build_from_checkpoint(load_checkpoint(path))
+def _load_run(path: str, ds):
+    """Checkpoint encoder and head checked against `ds`, then run.json's config."""
+    _, encoder, head = build_from_checkpoint(load_checkpoint(path))
     features, classes = encoder.w1.data.shape[0], head.w.data.shape[1]
     if (features, classes) != (ds.num_features, ds.class_count):
         raise DataError(
             f"{path}: checkpoint expects {features} features and {classes} classes; "
             f"dataset {ds.name} has {ds.num_features} and {ds.class_count}"
         )
-    return tape, encoder, head
+    run_path = os.path.join(os.path.dirname(path), "run.json")
+    try:
+        with open(run_path, encoding="utf-8") as fh:
+            values = json.load(fh)["effective_config"]
+        items = [f"{key}={value}" for key, value in values.items()]
+        return encoder, head, build_train_config(apply_overrides({}, items, "effective_config"))
+    except KeyError:
+        raise ConfigError(f"run record {run_path}: no effective_config") from None
+    except (OSError, ValueError, TypeError, AttributeError, ConfigError) as exc:
+        raise ConfigError(f"run record {run_path}: {exc}") from exc
 
 
 def _load_split(path: str, ds) -> SplitSpec:
@@ -168,11 +177,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simsearch(args) -> int:
-    cfg = _load_effective_config(args)
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    tape, encoder, head = _load_model(args.checkpoint, ds)
-    features = prepare_features(ds, cfg)
-    z = encoder.encode(tape, normalize_adjacency(ds.adj), features, training=False)
+    encoder, _, cfg = _load_run(args.checkpoint, ds)
+    z = embed(encoder, normalize_adjacency(ds.adj), prepare_features(ds, cfg))
     query_nodes = None
     if args.split:
         query_nodes = _load_split(args.split, ds).test
@@ -194,13 +201,14 @@ def cmd_simsearch(args) -> int:
 
 
 def cmd_degree_report(args) -> int:
-    cfg = _load_effective_config(args)
     try:
         boundaries = [int(b) for b in args.boundaries.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--boundaries must be comma-separated integers: {exc}") from exc
+    if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
+        raise ConfigError(f"--boundaries must be strictly increasing, got {args.boundaries}")
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
-    _, encoder, head = _load_model(args.checkpoint, ds)
+    encoder, head, cfg = _load_run(args.checkpoint, ds)
     split = _load_split(args.split, ds)
     pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
                    cfg, split.labeled, ds.label_ids())
@@ -327,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="neighborhood size (repeatable)")
     p.add_argument("--split", help="restrict queries to this split's test set")
     p.add_argument("--out")
-    _add_config_args(p)
     p.set_defaults(func=cmd_simsearch)
 
     p = subs.add_parser("degree-report", help="accuracy per degree bucket")
@@ -337,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundaries", default="2,4,7",
                    help="comma-separated degree thresholds")
     p.add_argument("--out")
-    _add_config_args(p)
     p.set_defaults(func=cmd_degree_report)
 
     p = subs.add_parser("ablate", help="loss-coefficient ablation table")

@@ -119,11 +119,11 @@ def load_config_file(path: str) -> dict:
     return parse_config_text(text, source=path)
 
 
-def apply_overrides(values: dict, overrides: list[str]) -> dict:
+def apply_overrides(values: dict, overrides: list[str], where: str = "--set") -> dict:
     """Merge `key=value` strings (e.g. from repeated --set flags), flags winning."""
     merged = dict(values)
     for item in overrides:
-        key, value = _parse_item(item, "--set")
+        key, value = _parse_item(item, where)
         merged[key] = value
     return merged
 

@@ -1,9 +1,7 @@
-"""Shared two-layer GCN encoder, the linear classification head, and
-`predict`, the one node-classification path.
-
-Both augmented views pass through the same parameters; there is no target
-network. `predict` encodes the clean, renormalized graph with dropout off;
-`fit`'s model selection and `degree-report` both call it.
+"""Shared two-layer GCN encoder (both augmented views pass through the same
+parameters; there is no target network), linear classification head,
+`embed`, the one clean-graph encode (dropout off, nothing recorded for
+backward), and `predict`, the one node-classification path, built on it.
 
 Checkpoint format: magic "GRAFN1", then per parameter: name length,
 name bytes, rows, cols (little-endian uint32), row-major float64 values.
@@ -93,16 +91,24 @@ def init_params(
     return encoder, head
 
 
+def embed(encoder: GcnEncoder, adj_norm: SparseAdjacency,
+          x: np.ndarray | SparseFeatures) -> Tensor:
+    """Clean-graph embedding of `x`, dropout off; detached weights record nothing."""
+    tape = Tape()
+    frozen = GcnEncoder(tape.detach(encoder.w1), tape.detach(encoder.w2), encoder.dropout)
+    return frozen.encode(tape, adj_norm, x, training=False)
+
+
 def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
             x: np.ndarray | SparseFeatures, cfg: TrainConfig, labeled: np.ndarray,
             label_ids: np.ndarray) -> np.ndarray:
-    """Class per node from the clean-graph encode of `x` (features prepared
-    as in training), dropout off: the head's argmax or, with
-    `cfg.snn_inference`, the argmax of the soft-nearest-neighbour
-    distribution over every labeled node. Ties go to the lower class. A
-    zero embedding row stays zero, as in training, so its cosines are 0."""
+    """Class per node from `embed` of `x` (features prepared as in
+    training): the head's argmax or, with `cfg.snn_inference`, the argmax of
+    the soft-nearest-neighbour distribution over every labeled node. Ties go
+    to the lower class. A zero embedding row stays zero, as in training, so
+    its cosines are 0."""
     tape = Tape()
-    z = encoder.encode(tape, adj_norm, x, training=False)
+    z = embed(encoder, adj_norm, x)
     if not cfg.snn_inference:
         return np.argmax(head.classify(tape, z).data, axis=1)
     support = SupportSet(labeled, np.eye(head.w.data.shape[1])[label_ids[labeled]])

@@ -30,7 +30,7 @@ from grafn import trainer
 from grafn.cli import main as cli_main
 from grafn.config import build_train_config, load_config_file
 from grafn.evaluation import ablation_suite, degree_accuracy_report, run_benchmark
-from grafn.model import build_from_checkpoint, init_params, predict
+from grafn.model import build_from_checkpoint, embed, init_params, predict
 from grafn.objective import SupportSet, sample_support, snn_distribution
 from grafn.sparse import normalize_adjacency
 from grafn.tape import Tape
@@ -297,9 +297,8 @@ def test_criterion_07_cora_similarity_search(cora_ds):
     cfg = shipped_config("cora.cfg")
     split = generate_splits(cora_ds, 0.005, 1, base_seed=0)[0]
     result = fit(cora_ds, split, cfg)
-    tape, encoder, _ = build_from_checkpoint(result.params)
-    z = encoder.encode(tape, normalize_adjacency(cora_ds.adj),
-                       prepare_features(cora_ds, cfg), training=False)
+    _, encoder, _ = build_from_checkpoint(result.params)
+    z = embed(encoder, normalize_adjacency(cora_ds.adj), prepare_features(cora_ds, cfg))
     s5 = sim_at_k(z.data, cora_ds.label_ids(), 5)
     s10 = sim_at_k(z.data, cora_ds.label_ids(), 10)
     report(
@@ -450,9 +449,8 @@ def synthetic_supervised_run(synthetic_ds, synthetic_split):
 
 
 def _clean_embeddings(ds, cfg, result):
-    tape, encoder, head = build_from_checkpoint(result.params)
-    z = encoder.encode(tape, normalize_adjacency(ds.adj),
-                       prepare_features(ds, cfg), training=False)
+    _, encoder, head = build_from_checkpoint(result.params)
+    z = embed(encoder, normalize_adjacency(ds.adj), prepare_features(ds, cfg))
     return z.data, encoder, head
 
 

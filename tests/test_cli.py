@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -161,19 +162,54 @@ def test_split_malformed_meta_exits_3(data_dir, tmp_path, capsys, edit):
     assert err.startswith(f"data error: {bad / 'meta.json'}: ") and err.count("\n") == 1
 
 
+# run.json beside a checkpoint: None deletes it, a string replaces its text,
+# and a dict replaces (when empty, drops) or updates its effective_config
+RUN_RECORD_EDITS = {
+    "run.json missing": None,
+    "run.json is not JSON": "{",
+    "run.json has no effective_config": {},
+    "effective_config has an unknown key": {"colour": 1},
+    "effective_config tau is a string": {"tau": "x"},
+    "effective_config hidden_dim is a bool": {"hidden_dim": True},
+    "effective_config tau is -1": {"tau": -1},
+}
+
+
 @pytest.mark.parametrize("case,code", [
     ("labels.txt ends in ff fe", 3),
     ("features.tsv missing", 3),
     ("config holds byte ff", 2),
     ("config is a directory", 2),
     ("raw.content holds byte ff", 3),
+    *((case, 2) for case in RUN_RECORD_EDITS),
 ])
-def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_split, tmp_path,
-                                                              capsys, case, code):
+def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_split, trained_dir,
+                                                              tmp_path, capsys, case, code):
     bad = tmp_path / "bad"
     write_dataset(load_dataset(data_dir), str(bad))
     argv = ["split", str(bad), "--rate", "0.1", "--n", "1", "--out", str(tmp_path / "s")]
-    if case == "labels.txt ends in ff fe":
+    argvs = None
+    if case in RUN_RECORD_EDITS:
+        run_dir, edit = tmp_path / "run", RUN_RECORD_EDITS[case]
+        run_dir.mkdir()
+        for name in ("checkpoint.bin", "run.json"):
+            shutil.copy(os.path.join(trained_dir, name), run_dir)
+        culprit = run_dir / "run.json"
+        record = json.loads(culprit.read_text())
+        if edit is None:
+            culprit.unlink()
+        elif isinstance(edit, str):
+            culprit.write_text(edit)
+        else:
+            if edit:
+                record["effective_config"].update(edit)
+            else:
+                del record["effective_config"]
+            culprit.write_text(json.dumps(record))
+        ckpt = str(run_dir / "checkpoint.bin")
+        argvs = [["simsearch", ckpt, data_dir, "--k", "5"],
+                 ["degree-report", ckpt, data_dir, one_split]]
+    elif case == "labels.txt ends in ff fe":
         culprit = bad / "labels.txt"
         culprit.write_bytes(culprit.read_bytes() + b"\xff\xfe")
     elif case == "features.tsv missing":
@@ -192,10 +228,11 @@ def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_spli
             culprit.mkdir()
         argv = ["train", str(bad), one_split, "--out", str(tmp_path / "r"),
                 "--config", str(culprit)]
-    assert run(argv) == code
-    err = capsys.readouterr().err
-    prefix = {2: "config error: ", 3: "data error: "}[code]
-    assert err.startswith(prefix) and str(culprit) in err and err.count("\n") == 1
+    for argv in argvs or [argv]:
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        prefix = {2: "config error: ", 3: "data error: "}[code]
+        assert err.startswith(prefix) and str(culprit) in err and err.count("\n") == 1
 
 
 SPLIT_EDITS = {
@@ -235,11 +272,11 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
         split, ckpt = one_split, str(tmp_path / "nan.bin")
         save_checkpoint(ckpt, params)
     argv = {
-        "train": ["train", data_dir, str(split), "--out", str(tmp_path / "r")],
+        "train": ["train", data_dir, str(split), "--out", str(tmp_path / "r"), *FAST],
         "simsearch": ["simsearch", ckpt, data_dir, "--k", "5", "--split", str(split)],
         "degree-report": ["degree-report", ckpt, data_dir, str(split)],
     }[command]
-    assert run([*argv, *FAST]) == 3
+    assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     if case == "labeled misses class 2":
@@ -255,6 +292,10 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--seed", "3"],
     ["simsearch", "{ckpt}", "{data}", "--k", "5", "--seed", "3"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--seed", "3"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--config", "configs/cora.cfg"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--set", "tau=0.2"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--config", "configs/cora.cfg"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--set", "tau=0.2"],
 ], ids=lambda argv: " ".join(argv))
 def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tmp_path,
                                             capsys, argv):
@@ -278,6 +319,8 @@ def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tm
     ["ablate", "{data}", "--rate", "0.1", "--n", "0"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "x,2"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", ""],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "4,2"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "2,2"],
     ["gradcheck", "--seed", "-1"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0", "--out", "{out}"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "-3", "--out", "{out}"],
@@ -368,19 +411,21 @@ def test_simsearch_reports_requested_ks(data_dir, trained_dir, tmp_path, capsys)
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     out = tmp_path / "sim.json"
     rc = run(["simsearch", ckpt, data_dir, "--k", "5", "--k", "10",
-              "--out", str(out), *FAST])
+              "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
     assert "Sim@5" in text and "Sim@10" in text
     payload = json.loads(out.read_text())
     assert set(payload["results"]) == {"sim@5", "sim@10"}
+    with open(os.path.join(trained_dir, "run.json"), encoding="utf-8") as fh:
+        assert payload["effective_config"] == json.load(fh)["effective_config"]
     for v in payload["results"].values():
         assert 0.0 <= v <= 1.0
 
 
 def test_simsearch_k_too_large_exits_4(data_dir, trained_dir):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
-    assert run(["simsearch", ckpt, data_dir, "--k", "60", *FAST]) == 4
+    assert run(["simsearch", ckpt, data_dir, "--k", "60"]) == 4
 
 
 def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path, capsys):
@@ -389,7 +434,8 @@ def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path,
     params["enc.w2"][:] = 0.0
     ckpt = tmp_path / "zero.bin"
     save_checkpoint(str(ckpt), params)
-    assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 4
+    shutil.copy(os.path.join(trained_dir, "run.json"), tmp_path)
+    assert run(["simsearch", str(ckpt), data_dir, "--k", "5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "non-finite norm 0.0" in err
 
@@ -399,14 +445,14 @@ def test_simsearch_corrupt_checkpoint_exits_3(data_dir, trained_dir, tmp_path):
         blob = fh.read()
     ckpt = tmp_path / "cut.bin"
     ckpt.write_bytes(blob[:6 + 4 + len("enc.w1") + 5])  # cut inside the shape
-    assert run(["simsearch", str(ckpt), data_dir, "--k", "5", *FAST]) == 3
+    assert run(["simsearch", str(ckpt), data_dir, "--k", "5"]) == 3
 
 
 def test_simsearch_deterministic(data_dir, trained_dir, capsys):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     outputs = []
     for _ in range(2):
-        run(["simsearch", ckpt, data_dir, "--k", "5", *FAST])
+        run(["simsearch", ckpt, data_dir, "--k", "5"])
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
@@ -415,7 +461,7 @@ def test_simsearch_test_only_queries(data_dir, trained_dir, one_split, tmp_path)
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     out = tmp_path / "sim_test.json"
     rc = run(["simsearch", ckpt, data_dir, "--k", "5",
-              "--split", one_split, "--out", str(out), *FAST])
+              "--split", one_split, "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["query_nodes"] == "test"
@@ -436,7 +482,7 @@ def mismatched_dirs(tmp_path_factory):
 
 def test_simsearch_feature_mismatch_exits_3(trained_dir, mismatched_dirs, capsys):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
-    assert run(["simsearch", ckpt, mismatched_dirs["features7"], "--k", "5", *FAST]) == 3
+    assert run(["simsearch", ckpt, mismatched_dirs["features7"], "--k", "5"]) == 3
     assert "24 features" in capsys.readouterr().err
 
 
@@ -448,7 +494,7 @@ def test_degree_report_cli(data_dir, trained_dir, one_split, tmp_path, capsys):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     out = tmp_path / "deg.json"
     rc = run(["degree-report", ckpt, data_dir, one_split,
-              "--boundaries", "2,4,7", "--out", str(out), *FAST])
+              "--boundaries", "2,4,7", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["boundaries"] == [2, 4, 7]
@@ -459,25 +505,28 @@ def test_degree_report_cli(data_dir, trained_dir, one_split, tmp_path, capsys):
 @pytest.mark.parametrize("snn_inference", ["false", "true"])
 def test_degree_report_pools_to_train_test_accuracy(data_dir, one_split, tmp_path,
                                                     snn_inference):
-    settings = [*FAST, "--set", f"snn_inference={snn_inference}",
-                "--set", "feature_row_normalize=true"]
+    # the report reads the training settings from run.json; none is passed again
     out = tmp_path / "run"
-    assert run(["train", data_dir, one_split, "--out", str(out), *settings]) == 0
+    assert run(["train", data_dir, one_split, "--out", str(out), *FAST,
+                "--set", f"snn_inference={snn_inference}",
+                "--set", "feature_row_normalize=false"]) == 0
     deg = tmp_path / "deg.json"
     assert run(["degree-report", str(out / "checkpoint.bin"), data_dir, one_split,
-                "--out", str(deg), *settings]) == 0
-    buckets = [b for b in json.loads(deg.read_text())["buckets"] if b["population"]]
+                "--out", str(deg)]) == 0
+    report = json.loads(deg.read_text())
+    buckets = [b for b in report["buckets"] if b["population"]]
     correct = sum(round(b["accuracy"] * b["population"]) for b in buckets)
     pooled = correct / sum(b["population"] for b in buckets)
     run_obj = json.loads((out / "run.json").read_text())
     assert pooled == run_obj["test_accuracy_at_best_val"]
+    assert report["effective_config"] == run_obj["effective_config"]
 
 
 @pytest.mark.parametrize("name", ["features7", "classes4"])
 def test_degree_report_dataset_mismatch_exits_3(trained_dir, mismatched_dirs, one_split,
                                                 name, capsys):
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
-    assert run(["degree-report", ckpt, mismatched_dirs[name], one_split, *FAST]) == 3
+    assert run(["degree-report", ckpt, mismatched_dirs[name], one_split]) == 3
     assert "data error" in capsys.readouterr().err
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from grafn import DataError, TrainConfig, load_checkpoint, predict, save_checkpoint
 from grafn.gradcheck import finite_diff_check
-from grafn.model import build_from_checkpoint, init_params
+from grafn.model import build_from_checkpoint, embed, init_params
 from grafn.objective import SupportSet, snn_distribution
 from grafn.sparse import SparseAdjacency, normalize_adjacency
 from grafn.sparse_features import SparseFeatures
@@ -98,6 +98,32 @@ def test_encode_sparse_dense_paths_agree():
     dense = encoder.encode(tape, adj, x, training=False).data
     sparse = encoder.encode(tape, adj, SparseFeatures.from_dense(x), training=False).data
     np.testing.assert_allclose(sparse, dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("sparse_input", [False, True])
+def test_embed_records_nothing_and_equals_eval_encode(monkeypatch, sparse_input):
+    _, encoder, _ = fresh(f=10, dropout=0.5)
+    rng = np.random.default_rng(4)
+    x = (rng.random((8, 10)) < 0.4) * rng.random((8, 10))
+    x = SparseFeatures.from_dense(x) if sparse_input else x
+    adj = normalize_adjacency(
+        SparseAdjacency.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    )
+    recorded = []
+    emit = Tape._emit
+
+    def counted(self, *args):
+        out = emit(self, *args)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(Tape, "_emit", counted)
+    expected = encoder.encode(Tape(), adj, x, training=False).data
+    assert sum(recorded) == 5  # the counter sees a recording encode
+    recorded.clear()
+    z = embed(encoder, adj, x)
+    assert len(recorded) == 5 and sum(recorded) == 0
+    assert z.data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("sparse_input", [False, True])
