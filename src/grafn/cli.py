@@ -59,7 +59,13 @@ def _load_run(path: str, ds):
     run_path = os.path.join(os.path.dirname(path), "run.json")
     try:
         with open(run_path, encoding="utf-8") as fh:
-            values = json.load(fh)["effective_config"]
+            record = json.load(fh)
+        if "error" in record:
+            raise ConfigError("training diverged, so the checkpoint beside it is not this run's")
+        values = record["effective_config"]
+        missing = {f.name for f in dataclasses.fields(TrainConfig)} - set(values)
+        if missing:
+            raise ConfigError(f"effective_config lacks {', '.join(sorted(missing))}")
         items = [f"{key}={value}" for key, value in values.items()]
         return encoder, head, build_train_config(apply_overrides({}, items, "effective_config"))
     except KeyError:

@@ -456,7 +456,8 @@ def degree_buckets(ds: GraphDataset, boundaries: list[int]) -> np.ndarray:
     """Bucket id per node from the raw self-loop-free degree.
 
     Bucket k holds nodes with boundaries[k-1] <= degree < boundaries[k];
-    the last bucket is degree >= boundaries[-1].
+    the last bucket is degree >= boundaries[-1]. The boundary checks serve
+    library callers; `degree-report` repeats them to exit 2 before any read.
     """
     if not boundaries:
         raise DataError("degree boundaries must be non-empty")

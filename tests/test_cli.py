@@ -162,16 +162,29 @@ def test_split_malformed_meta_exits_3(data_dir, tmp_path, capsys, edit):
     assert err.startswith(f"data error: {bad / 'meta.json'}: ") and err.count("\n") == 1
 
 
+def _diverged(record):
+    # what train writes when the loss goes non-finite; it saves no checkpoint,
+    # so the one beside this record is from an earlier run
+    for key in set(record) - {"effective_config"}:
+        del record[key]
+    record.update(error="non-finite total loss at epoch 3", loss_history=[])
+
+
 # run.json beside a checkpoint: None deletes it, a string replaces its text,
-# and a dict replaces (when empty, drops) or updates its effective_config
+# and a function edits the parsed record in place
 RUN_RECORD_EDITS = {
     "run.json missing": None,
     "run.json is not JSON": "{",
-    "run.json has no effective_config": {},
-    "effective_config has an unknown key": {"colour": 1},
-    "effective_config tau is a string": {"tau": "x"},
-    "effective_config hidden_dim is a bool": {"hidden_dim": True},
-    "effective_config tau is -1": {"tau": -1},
+    "run.json has no effective_config": lambda record: record.pop("effective_config"),
+    "run.json records a diverged run": _diverged,
+    "effective_config lacks tau": lambda record: record["effective_config"].pop("tau"),
+    "effective_config has an unknown key": lambda record: record["effective_config"].update(
+        colour=1),
+    "effective_config tau is a string": lambda record: record["effective_config"].update(
+        tau="x"),
+    "effective_config hidden_dim is a bool": lambda record: record["effective_config"].update(
+        hidden_dim=True),
+    "effective_config tau is -1": lambda record: record["effective_config"].update(tau=-1),
 }
 
 
@@ -201,10 +214,7 @@ def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_spli
         elif isinstance(edit, str):
             culprit.write_text(edit)
         else:
-            if edit:
-                record["effective_config"].update(edit)
-            else:
-                del record["effective_config"]
+            edit(record)
             culprit.write_text(json.dumps(record))
         ckpt = str(run_dir / "checkpoint.bin")
         argvs = [["simsearch", ckpt, data_dir, "--k", "5"],
