@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import GraphDataset
-from .errors import ConfigError
 from .sparse import SparseAdjacency, drop_and_normalize, normalize_adjacency
 from .sparse_features import SparseFeatures
 
@@ -20,8 +19,6 @@ from .sparse_features import SparseFeatures
 def mask_features(x: np.ndarray | SparseFeatures, p: float, rng: np.random.Generator):
     """Zero each feature dimension (column) with probability p, for every node
     at once: one draw per column, so dense and sparse inputs agree."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"mask probability out of range: {p}")
     if p == 0.0:
         return x
     keep = (rng.random(x.shape[1]) >= p).astype(np.float64)
@@ -33,8 +30,6 @@ def mask_features(x: np.ndarray | SparseFeatures, p: float, rng: np.random.Gener
 def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> SparseAdjacency:
     """Renormalized adjacency after dropping each undirected edge with
     probability p; both CSR directions go together. p = 0 draws nothing."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"edge drop probability out of range: {p}")
     if p == 0.0:
         return normalize_adjacency(adj)
     return drop_and_normalize(adj, p, rng)

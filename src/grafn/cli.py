@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -47,8 +48,14 @@ def _load_effective_config(args) -> TrainConfig:
     return build_train_config(apply_overrides(values, args.set or []))
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _load_run(path: str, ds):
-    """Checkpoint encoder and head checked against `ds`, then run.json's config."""
+    """Checkpoint encoder and head checked against `ds`, then the config of
+    run.json, whose checkpoint_sha256 must be the checkpoint's digest."""
     _, encoder, head = build_from_checkpoint(load_checkpoint(path))
     features, classes = encoder.w1.data.shape[0], head.w.data.shape[1]
     if (features, classes) != (ds.num_features, ds.class_count):
@@ -57,11 +64,16 @@ def _load_run(path: str, ds):
             f"dataset {ds.name} has {ds.num_features} and {ds.class_count}"
         )
     run_path = os.path.join(os.path.dirname(path), "run.json")
+    digest = _sha256(path)
     try:
         with open(run_path, encoding="utf-8") as fh:
             record = json.load(fh)
         if "error" in record:
             raise ConfigError("training diverged, so the checkpoint beside it is not this run's")
+        if "checkpoint_sha256" not in record:
+            raise ConfigError("lacks checkpoint_sha256, so it cannot vouch for the checkpoint")
+        if record["checkpoint_sha256"] != digest:
+            raise ConfigError(f"checkpoint_sha256 differs from the digest of {path}")
         values = record["effective_config"]
         missing = {f.name for f in dataclasses.fields(TrainConfig)} - set(values)
         if missing:
@@ -148,12 +160,13 @@ def cmd_train(args) -> int:
         }
         _write_json(run_path, payload)
         raise
+    save_checkpoint(ckpt_path, result.params)
     payload = result.to_dict()
     payload["effective_config"] = dataclasses.asdict(cfg)
     payload["dataset"] = ds.name
     payload["checkpoint"] = ckpt_path
+    payload["checkpoint_sha256"] = _sha256(ckpt_path)
     _write_json(run_path, payload)
-    save_checkpoint(ckpt_path, result.params)
     print(
         f"best val {result.best_val_accuracy:.4f} at epoch {result.epoch_of_best}; "
         f"test {result.test_accuracy_at_best_val:.4f}"

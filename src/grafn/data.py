@@ -389,6 +389,8 @@ def generate_splits(
     Per split: round(label_rate * N) labeled nodes with at least one per
     class, the remainder apportioned by class frequency (largest-remainder,
     ties toward lower class index); split i is seeded with base_seed + i.
+    Each split passes `SplitSpec.validate`, which rejects a rate that
+    leaves no node for val or test.
     """
     if n_splits < 1:
         raise ConfigError(f"the number of splits must be >= 1, got {n_splits}")
@@ -446,9 +448,9 @@ def generate_splits(
         n_val = _round_half_up(len(rest) / 10.0)
         val = np.sort(rest[:n_val])
         test = np.sort(rest[n_val:])
-        splits.append(
-            SplitSpec(labeled=labeled, val=val, test=test, seed=seed, label_rate=label_rate)
-        )
+        split = SplitSpec(labeled=labeled, val=val, test=test, seed=seed, label_rate=label_rate)
+        split.validate(ds)
+        splits.append(split)
     return splits
 
 
@@ -456,13 +458,8 @@ def degree_buckets(ds: GraphDataset, boundaries: list[int]) -> np.ndarray:
     """Bucket id per node from the raw self-loop-free degree.
 
     Bucket k holds nodes with boundaries[k-1] <= degree < boundaries[k];
-    the last bucket is degree >= boundaries[-1]. The boundary checks serve
-    library callers; `degree-report` repeats them to exit 2 before any read.
+    the last bucket is degree >= boundaries[-1]. `boundaries` is non-empty
+    and strictly increasing.
     """
-    if not boundaries:
-        raise DataError("degree boundaries must be non-empty")
-    bounds = list(boundaries)
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise DataError(f"degree boundaries must be strictly increasing: {bounds}")
     deg = ds.adj.degrees()
-    return np.searchsorted(np.asarray(bounds), deg, side="right").astype(np.int64)
+    return np.searchsorted(np.asarray(boundaries), deg, side="right").astype(np.int64)

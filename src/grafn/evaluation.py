@@ -145,6 +145,8 @@ def sim_at_k(
         query_nodes = np.arange(n)
     if len(query_nodes) == 0:
         raise NumericsError("sim_at_k: the query set is empty")
+    if np.min(query_nodes) < 0 or np.max(query_nodes) >= n:
+        raise NumericsError(f"sim_at_k: a query node is outside [0, {n})")
     norms = np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
     if bad.size:

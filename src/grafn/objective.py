@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitSpec
-from .errors import ConfigError, NumericsError
+from .errors import NumericsError
 from .tape import Tape, Tensor
 
 
@@ -34,10 +34,7 @@ def sample_support(split: SplitSpec, label_ids: np.ndarray, num_classes: int,
     labeled_by_class = [
         split.labeled[label_ids[split.labeled] == k] for k in range(num_classes)
     ]
-    counts = [len(v) for v in labeled_by_class]
-    if min(counts) == 0:
-        raise NumericsError(f"class {int(np.argmin(counts))} has no labeled node")
-    b = min(counts)
+    b = min(len(v) for v in labeled_by_class)
     picks = [rng.choice(members, size=b, replace=False) for members in labeled_by_class]
     indices = np.concatenate(picks)
     y_support = np.zeros((b * num_classes, num_classes))
@@ -65,8 +62,6 @@ def snn_distribution(tape: Tape, u: Tensor, support: SupportSet, tau: float) -> 
     cosine(anchor, support)/tau, folded with the support one-hot labels;
     each output row is a distribution over classes.
     """
-    if tau <= 0.0:
-        raise ConfigError(f"tau must be positive, got {tau}")
     sims = tape.matmul(u, tape.transpose(tape.gather_rows(u, support.indices)))
     weights = tape.softmax_rows(tape.scale(sims, 1.0 / tau))
     return tape.matmul(weights, support.y_support)
@@ -94,8 +89,6 @@ def label_consistency_loss(
     """
     if p_target.requires_grad:
         raise NumericsError("label consistency target must be tape-detached")
-    if len(labeled) == 0:
-        raise NumericsError("labeled set is empty")
     labeled_term = tape.cross_entropy_rows(
         labels[labeled], tape.gather_rows(p_pred, labeled)
     )
@@ -110,8 +103,6 @@ def label_consistency_loss(
 def supervised_loss(tape: Tape, logits: Tensor, labels: np.ndarray,
                     labeled: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy over the labeled nodes."""
-    if len(labeled) == 0:
-        raise NumericsError("labeled set is empty")
     return tape.softmax_cross_entropy(tape.gather_rows(logits, labeled), labels[labeled])
 
 

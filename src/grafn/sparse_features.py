@@ -50,8 +50,6 @@ class SparseFeatures:
         """Dropout over stored values, scaled by 1/(1-p): one draw per stored
         entry, and only the nonzero survivors are stored. Products through
         the dropped zeros would add only +-0 to sums that start at +0."""
-        if not 0.0 <= p < 1.0:
-            raise NumericsError(f"dropout probability out of range: {p}")
         if p == 0.0:
             return self
         csr = self._csr

@@ -205,9 +205,11 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     """Train up to max_epochs steps; report test accuracy at the epoch of
     highest validation accuracy (ties keep the earlier epoch).
 
-    Raises DivergenceError (carrying the partial history) on a non-finite
-    total loss.
+    Raises DataError, before any draw, on a split that `SplitSpec.validate`
+    rejects, and DivergenceError (carrying the partial history) on a
+    non-finite total loss.
     """
+    split.validate(ds)
     rng = np.random.default_rng(cfg.seed)
     tape = Tape()
     encoder, head = init_params(

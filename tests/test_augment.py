@@ -41,11 +41,6 @@ def test_mask_sparse_dense_column_equivalence():
     np.testing.assert_array_equal(sparse._csr.toarray(), dense)
 
 
-def test_mask_p_out_of_range():
-    with pytest.raises(ConfigError, match="out of range"):
-        mask_features(np.ones((2, 2)), 1.0, np.random.default_rng(0))
-
-
 def test_drop_edges_p_zero_identity():
     adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     rng = np.random.default_rng(0)

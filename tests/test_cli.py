@@ -108,6 +108,8 @@ def test_train_outputs(trained_dir):
         run_obj = json.load(fh)
     assert 0.0 <= run_obj["test_accuracy_at_best_val"] <= 1.0
     assert run_obj["effective_config"]["hidden_dim"] == 16
+    with open(os.path.join(trained_dir, "checkpoint.bin"), "rb") as fh:
+        assert run_obj["checkpoint_sha256"] == hashlib.sha256(fh.read()).hexdigest()
     params = load_checkpoint(os.path.join(trained_dir, "checkpoint.bin"))
     assert set(params) == {"enc.w1", "enc.w2", "head.w", "head.b"}
 
@@ -185,6 +187,8 @@ RUN_RECORD_EDITS = {
     "effective_config hidden_dim is a bool": lambda record: record["effective_config"].update(
         hidden_dim=True),
     "effective_config tau is -1": lambda record: record["effective_config"].update(tau=-1),
+    "digest differs": lambda record: record.update(checkpoint_sha256="0" * 64),
+    "lacks checkpoint_sha256": lambda record: record.pop("checkpoint_sha256"),
 }
 
 
@@ -264,6 +268,9 @@ SPLIT_EDITS = {
     ("simsearch", "nan checkpoint"),
     ("degree-report", "labeled index -1"),
     ("degree-report", "nan checkpoint"),
+    ("split", "rate 0.995"),
+    ("bench", "rate 0.995"),
+    ("ablate", "rate 0.995"),
 ])
 def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_path,
                                          capsys, command, case):
@@ -281,14 +288,23 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
         params["enc.w2"][0, 0] = np.nan
         split, ckpt = one_split, str(tmp_path / "nan.bin")
         save_checkpoint(ckpt, params)
+    out = tmp_path / "r"
+    # at rate 0.995 all 60 nodes are labeled, which leaves val and test empty
+    rate = ["--rate", "0.995", "--n", "1"]
     argv = {
-        "train": ["train", data_dir, str(split), "--out", str(tmp_path / "r"), *FAST],
+        "train": ["train", data_dir, str(split), "--out", str(out), *FAST],
         "simsearch": ["simsearch", ckpt, data_dir, "--k", "5", "--split", str(split)],
         "degree-report": ["degree-report", ckpt, data_dir, str(split)],
+        "split": ["split", data_dir, *rate, "--out", str(out)],
+        "bench": ["bench", data_dir, *rate, "--out", str(out), *FAST],
+        "ablate": ["ablate", data_dir, *rate, "--out", str(out / "ablate.json"), *FAST],
     }[command]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
+    if case == "rate 0.995":
+        assert "split set 'val' is empty" in err
     if case == "labeled misses class 2":
         assert "class 2" in err
     if case == "nan checkpoint":
@@ -444,7 +460,10 @@ def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path,
     params["enc.w2"][:] = 0.0
     ckpt = tmp_path / "zero.bin"
     save_checkpoint(str(ckpt), params)
-    shutil.copy(os.path.join(trained_dir, "run.json"), tmp_path)
+    with open(os.path.join(trained_dir, "run.json"), encoding="utf-8") as fh:
+        record = json.load(fh)
+    record["checkpoint_sha256"] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    (tmp_path / "run.json").write_text(json.dumps(record))
     assert run(["simsearch", str(ckpt), data_dir, "--k", "5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "non-finite norm 0.0" in err

@@ -356,10 +356,3 @@ def test_degree_buckets_histogram_matches_independent_count(synthetic_ds):
             expected[3] += 1
     np.testing.assert_array_equal(np.bincount(buckets, minlength=4), expected)
 
-
-def test_degree_buckets_validation():
-    ds = make_dataset(2, [], [0, 0], 1)
-    with pytest.raises(DataError, match="non-empty"):
-        degree_buckets(ds, [])
-    with pytest.raises(DataError, match="strictly increasing"):
-        degree_buckets(ds, [4, 4])

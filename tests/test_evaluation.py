@@ -50,6 +50,12 @@ def test_sim_at_k_rejects_empty_query_set():
         sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), 2, query_nodes=np.array([], int))
 
 
+@pytest.mark.parametrize("query", [[-1], [5], [0, 5]])
+def test_sim_at_k_rejects_query_outside_node_range(query):
+    with pytest.raises(NumericsError, match=r"outside \[0, 5\)"):
+        sim_at_k(np.eye(5, 2) + 1.0, np.zeros(5, dtype=int), 2, query_nodes=np.array(query))
+
+
 @pytest.mark.parametrize("row, shown", [
     ([0.0, 0.0, 0.0, 0.0], "0.0"),
     ([1.0, np.nan, 0.0, 0.0], "nan"),

@@ -224,13 +224,6 @@ def test_snn_invariant_to_anchor_row_scaling():
     np.testing.assert_allclose(out[0], base[0], atol=1e-10)
 
 
-def test_snn_rejects_bad_tau():
-    tape = Tape()
-    u = tape.normalize_rows(np.ones((2, 2)))
-    with pytest.raises(ConfigError, match="tau"):
-        snn_distribution(tape, u, make_support([0], [0], 1), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # confidence filter
 
@@ -349,11 +342,6 @@ def test_supervised_loss_zero_logits_is_log_c():
     loss = supervised_loss(tape, Tensor(np.zeros((3, c))), labels, np.arange(3))
     assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
     assert loss.item() == pytest.approx(1.9459, abs=1e-4)
-
-
-def test_supervised_loss_empty_labeled_set():
-    with pytest.raises(NumericsError, match="empty"):
-        supervised_loss(Tape(), Tensor(np.zeros((2, 2))), np.eye(2), np.array([], dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,6 @@ def test_dropout_seed_bit_identical():
     np.testing.assert_array_equal(a, b)
 
 
-def test_dropout_p_out_of_range():
-    with pytest.raises(NumericsError, match="out of range"):
-        Tape().dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # row_dot
 

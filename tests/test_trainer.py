@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from grafn import (
     ConfigError,
+    DataError,
     DivergenceError,
     NumericsError,
+    SplitSpec,
     TrainConfig,
     fit,
     generate_splits,
@@ -29,6 +32,7 @@ from grafn.trainer import (
     train_step,
 )
 from tests.conftest import make_dataset
+from tests.test_cli import SPLIT_EDITS
 
 
 def small_cfg(**kw):
@@ -299,6 +303,16 @@ def test_fit_divergence_guard_saves_history():
     with pytest.raises(DivergenceError) as err:
         fit(ds, split, small_cfg(feature_row_normalize=False))
     assert len(err.value.history) >= 1
+
+
+# "test entry 0.5" is left out: SplitSpec.from_json already rejects it
+@pytest.mark.parametrize("case", [case for case in SPLIT_EDITS if case != "test entry 0.5"])
+def test_fit_rejects_every_bad_split(case):
+    ds = random_dataset(60, num_classes=3, num_features=24, seed=6)
+    obj = json.loads(generate_splits(ds, 0.1, 1, 0)[0].to_json())
+    SPLIT_EDITS[case](obj, ds.label_ids())
+    with pytest.raises(DataError):
+        fit(ds, SplitSpec.from_json(json.dumps(obj)), small_cfg(max_epochs=1))
 
 
 def test_fit_bit_reproducible(tiny_setup):
