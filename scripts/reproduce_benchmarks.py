@@ -53,8 +53,8 @@ def main():
             "--bench-seed", str(args.seed), "--jobs", str(args.jobs),
             "--out", out, "--config", config])
         sh(["ablate", ds_dir, "--rate", str(rate), "--n", str(args.splits),
-            "--bench-seed", str(args.seed), "--config", config,
-            "--out", os.path.join(out, "ablation.json")])
+            "--bench-seed", str(args.seed), "--jobs", str(args.jobs),
+            "--config", config, "--out", os.path.join(out, "ablation.json")])
         sh(["split", ds_dir, "--rate", str(rate), "--n", "1",
             "--seed", str(args.seed), "--out", os.path.join(out, "splits")])
         sh(["train", ds_dir, os.path.join(out, "splits", "split_000.json"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import GraphDataset
 from .sparse import SparseAdjacency, drop_and_normalize, normalize_adjacency
 from .sparse_features import SparseFeatures
 
@@ -36,17 +35,15 @@ def drop_edges(adj: SparseAdjacency, p: float, rng: np.random.Generator) -> Spar
 
 
 def augment_view(
-    ds: GraphDataset,
+    adj: SparseAdjacency,
+    x: np.ndarray | SparseFeatures,
     p_feature_mask: float,
     p_edge_drop: float,
     rng: np.random.Generator,
-    features: np.ndarray | SparseFeatures | None = None,
 ) -> tuple[SparseAdjacency, np.ndarray | SparseFeatures]:
-    """One stochastic view: masked features plus the renormalized adjacency
-    of the edge-dropped graph. The mask is drawn before the edge drop.
-
-    `features` overrides ds.features (e.g. a row-normalized or sparse copy).
+    """One stochastic view of the raw adjacency and the prepared features
+    (`trainer.prepare_features`): masked features plus the renormalized
+    adjacency of the edge-dropped graph. The mask is drawn before the edge drop.
     """
-    x = ds.features if features is None else features
     x_view = mask_features(x, p_feature_mask, rng)
-    return drop_edges(ds.adj, p_edge_drop, rng), x_view
+    return drop_edges(adj, p_edge_drop, rng), x_view

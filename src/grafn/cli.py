@@ -87,13 +87,15 @@ def _load_run(path: str, ds):
 
 
 def _load_split(path: str, ds) -> SplitSpec:
-    """The split file, checked against the dataset's nodes and classes."""
+    """The split file, checked against the dataset; every fault names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             split = SplitSpec.from_json(fh.read())
+        split.validate(ds)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read split file {path}: {exc}") from exc
-    split.validate(ds)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return split
 
 
@@ -263,6 +265,8 @@ def cmd_gradcheck(args) -> int:
                         p_in=0.3, p_out=0.1, seed=args.seed)
     splits = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)
     split = splits[0]
+    features = prepare_features(ds, TrainConfig())
+    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     worst = 0.0
     for nu in (0.0, 0.9):
         tape = Tape()
@@ -281,7 +285,8 @@ def cmd_gradcheck(args) -> int:
 
         def build(cfg=cfg, target=target, encoder=encoder, head=head):
             total, _ = build_step_loss(tape, ds, split, encoder, head, cfg,
-                                       np.random.default_rng(args.seed + 1), target=target)
+                                       np.random.default_rng(args.seed + 1), features,
+                                       unlabeled, target=target)
             return total
 
         build()

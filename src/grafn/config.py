@@ -23,7 +23,6 @@ class TrainConfig:
     dropout: float = 0.5
     max_epochs: int = 500
     seed: int = 1
-    feature_row_normalize: bool = True
     snn_inference: bool = False      # classify by clean-graph SNN argmax
     tau: float = 0.1
     nu: float = 0.9

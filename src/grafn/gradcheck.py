@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import NumericsError
-from .tape import Parameter, Tape, Tensor
+from .tape import Tape, Tensor
 
 ABS_FLOOR = 1e-8  # differences below this count as agreement
 
@@ -25,7 +25,6 @@ def finite_diff_check(
     tape: Tape,
     build_loss: Callable[[], Tensor],
     eps: float = 1e-5,
-    params: list[Parameter] | None = None,
 ) -> float:
     """Max relative error between tape gradients and central differences.
 
@@ -33,8 +32,7 @@ def finite_diff_check(
     and be deterministic (fix every seed it consumes). Kink-adjacent entries
     are skipped; differences below the 1e-8 absolute floor count as exact.
     """
-    if params is None:
-        params = list(tape.parameters.values())
+    params = list(tape.parameters.values())
 
     v0 = _value(tape, build_loss)
     if _value(tape, build_loss) != v0:

@@ -107,11 +107,12 @@ def build_step_loss(
     head: LinearHead,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    features=None,
-    unlabeled: np.ndarray | None = None,
+    features: np.ndarray | SparseFeatures,
+    unlabeled: np.ndarray,
     target: Callable[[Tape, Tensor], Tensor] | None = None,
 ) -> tuple[Tensor, StepLosses]:
-    """Assemble the full objective for one step on a fresh tape graph.
+    """Assemble the full objective for one step on a fresh tape graph, from
+    `prepare_features(ds, cfg)` and the nodes outside `split.labeled`.
 
     Draw order (fixed so that coefficient-only config changes see identical
     randomness): weak view, strong view, weak encode, strong encode, support
@@ -124,14 +125,12 @@ def build_step_loss(
     constant, exactly as the optimizer sees it.
     """
     label_ids = ds.label_ids()
-    if unlabeled is None:
-        unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     tape.new_step()
 
-    adj_w, x_w = augment_view(ds, cfg.weak_feature_mask, cfg.weak_edge_drop, rng,
-                              features=features)
-    adj_s, x_s = augment_view(ds, cfg.strong_feature_mask, cfg.strong_edge_drop, rng,
-                              features=features)
+    adj_w, x_w = augment_view(ds.adj, features, cfg.weak_feature_mask, cfg.weak_edge_drop,
+                              rng)
+    adj_s, x_s = augment_view(ds.adj, features, cfg.strong_feature_mask, cfg.strong_edge_drop,
+                              rng)
     z_w = encoder.encode(tape, adj_w, x_w, training=True, rng=rng)
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
 
@@ -164,8 +163,8 @@ def train_step(
     adam: AdamState,
     rng: np.random.Generator,
     step_index: int,
-    features=None,
-    unlabeled: np.ndarray | None = None,
+    features: np.ndarray | SparseFeatures,
+    unlabeled: np.ndarray,
 ) -> StepLosses:
     """Forward, backward, Adam update; returns the step's loss components."""
     total, parts = build_step_loss(
@@ -191,8 +190,9 @@ def row_normalize(features: np.ndarray) -> np.ndarray:
 
 
 def prepare_features(ds: GraphDataset, cfg: TrainConfig):
-    """Optional row normalization, then CSR when at most 5% of entries are nonzero."""
-    x = row_normalize(ds.features) if cfg.feature_row_normalize else ds.features
+    """Row normalization, then CSR when at most 5% of entries are nonzero;
+    `cfg` is unused for now."""
+    x = row_normalize(ds.features)
     nonzero = np.flatnonzero(x)
     return SparseFeatures.from_dense(x, nonzero) if nonzero.size / x.size <= 0.05 else x
 
@@ -227,6 +227,7 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     best_val = -1.0
     best_epoch = 0
     best_params: dict[str, np.ndarray] = {}
+    test_acc = 0.0
 
     for epoch in range(1, cfg.max_epochs + 1):
         parts = train_step(
@@ -245,11 +246,8 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
             best_val = val_acc
             best_epoch = epoch
             best_params = {name: p.data.copy() for name, p in tape.parameters.items()}
+            test_acc = float(np.mean(pred[split.test] == label_ids[split.test]))
 
-    for name, p in tape.parameters.items():
-        p.data = best_params[name]
-    pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, label_ids)
-    test_acc = float(np.mean(pred[split.test] == label_ids[split.test]))
     return RunResult(
         best_val_accuracy=best_val,
         test_accuracy_at_best_val=test_acc,

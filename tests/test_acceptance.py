@@ -196,6 +196,7 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
     # (b) regression on the full step objective: removing the detachment
     # changes the parameter gradients
     grads = {}
+    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     for variant in ("detached", "live"):
         t2 = Tape()
         enc2, head2 = init_params(t2, ds.num_features, 6, 6, ds.class_count, 0.1,
@@ -206,8 +207,8 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
                 m.setattr(trainer, "label_consistency_loss", undetached_label_consistency)
                 target = lambda tape, p: p
             total, _ = build_step_loss(
-                t2, ds, split, enc2, head2, TrainConfig(nu=0.0),
-                np.random.default_rng(6), target=target,
+                t2, ds, split, enc2, head2, TrainConfig(nu=0.0), np.random.default_rng(6),
+                prepare_features(ds, TrainConfig()), unlabeled, target=target,
             )
         t2.backward(total)
         grads[variant] = {n: p.grad.copy() for n, p in t2.parameters.items()}

@@ -78,7 +78,8 @@ def test_drop_edges_output_always_symmetric(seed):
 
 
 def test_augment_view_noop_config(synthetic_ds):
-    adj_view, x_view = augment_view(synthetic_ds, 0.0, 0.0, np.random.default_rng(0))
+    adj_view, x_view = augment_view(synthetic_ds.adj, synthetic_ds.features, 0.0, 0.0,
+                                    np.random.default_rng(0))
     np.testing.assert_array_equal(x_view, synthetic_ds.features)
     np.testing.assert_allclose(
         adj_view.csr.toarray(), normalize_adjacency(synthetic_ds.adj).csr.toarray(),
@@ -87,13 +88,15 @@ def test_augment_view_noop_config(synthetic_ds):
 
 
 def test_augment_view_seeds_differ(synthetic_ds):
-    a = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(1))
-    b = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(2))
+    ds = synthetic_ds
+    a = augment_view(ds.adj, ds.features, 0.3, 0.3, np.random.default_rng(1))
+    b = augment_view(ds.adj, ds.features, 0.3, 0.3, np.random.default_rng(2))
     assert not np.array_equal(a[1], b[1]) or a[0].nnz != b[0].nnz
 
 
 def test_augment_view_preserves_shape_and_invariants(synthetic_ds):
-    adj_view, x_view = augment_view(synthetic_ds, 0.3, 0.3, np.random.default_rng(3))
+    adj_view, x_view = augment_view(synthetic_ds.adj, synthetic_ds.features, 0.3, 0.3,
+                                    np.random.default_rng(3))
     assert x_view.shape == synthetic_ds.features.shape
     assert adj_view.n == synthetic_ds.num_nodes
     adj_view.validate()
@@ -104,7 +107,7 @@ def test_augment_view_normalizes_after_dropping():
     """Degrees entering normalization must reflect the thinned graph."""
     ds = random_dataset(30, num_classes=3, num_features=8, p_in=0.4, p_out=0.2, seed=1)
     rng = np.random.default_rng(77)
-    adj_view, _ = augment_view(ds, 0.0, 0.5, rng)
+    adj_view, _ = augment_view(ds.adj, ds.features, 0.0, 0.5, rng)
     edges = ds.adj.undirected_edge_list()
     kept = edges[np.random.default_rng(77).random(len(edges)) >= 0.5]
     oracle = normalize_adjacency(SparseAdjacency.from_edges(ds.num_nodes, kept))

@@ -182,6 +182,9 @@ RUN_RECORD_EDITS = {
     "effective_config lacks tau": lambda record: record["effective_config"].pop("tau"),
     "effective_config has an unknown key": lambda record: record["effective_config"].update(
         colour=1),
+    # a record from before row normalization became fixed behaviour
+    "effective_config names feature_row_normalize": lambda record: record[
+        "effective_config"].update(feature_row_normalize=True),
     "effective_config tau is a string": lambda record: record["effective_config"].update(
         tau="x"),
     "effective_config hidden_dim is a bool": lambda record: record["effective_config"].update(
@@ -303,6 +306,8 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert not out.exists()
+    if case in SPLIT_EDITS or case == "missing split":
+        assert str(split) in err
     if case == "rate 0.995":
         assert "split set 'val' is empty" in err
     if case == "labeled misses class 2":
@@ -537,8 +542,7 @@ def test_degree_report_pools_to_train_test_accuracy(data_dir, one_split, tmp_pat
     # the report reads the training settings from run.json; none is passed again
     out = tmp_path / "run"
     assert run(["train", data_dir, one_split, "--out", str(out), *FAST,
-                "--set", f"snn_inference={snn_inference}",
-                "--set", "feature_row_normalize=false"]) == 0
+                "--set", f"snn_inference={snn_inference}"]) == 0
     deg = tmp_path / "deg.json"
     assert run(["degree-report", str(out / "checkpoint.bin"), data_dir, one_split,
                 "--out", str(deg)]) == 0

@@ -31,11 +31,9 @@ def test_comments_and_blank_lines_are_ignored():
 
 def test_values_are_typed_per_key():
     values = parse_config_text(
-        "max_epochs = 7\nlearning_rate = 1e-2\nsnn_inference = yes\n"
-        "feature_row_normalize = OFF\n"
+        "max_epochs = 7\nlearning_rate = 1e-2\nsnn_inference = yes\nsnn_inference = OFF\n"
     )
-    assert values == {"max_epochs": 7, "learning_rate": 0.01, "snn_inference": True,
-                      "feature_row_normalize": False}
+    assert values == {"max_epochs": 7, "learning_rate": 0.01, "snn_inference": False}
     assert type(values["max_epochs"]) is int
     assert type(values["learning_rate"]) is float
 
@@ -140,7 +138,6 @@ def configs(draw):
         dropout=draw(_probability()),
         max_epochs=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63)),
-        feature_row_normalize=draw(st.booleans()),
         snn_inference=draw(st.booleans()),
         tau=draw(positive),
         nu=draw(st.floats(0.0, 1.0)),

@@ -51,6 +51,12 @@ def tiny_setup():
     return ds, split
 
 
+def step_inputs(ds, split):
+    """What `fit` hands every step: the prepared features and the unlabeled nodes."""
+    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
+    return prepare_features(ds, TrainConfig()), unlabeled
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -110,7 +116,8 @@ def test_step_with_zero_lambdas_is_supervised_step(tiny_setup):
     rng = np.random.default_rng(2)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     cfg = TrainConfig(lambda1=0.0, lambda2=0.0)
-    total, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
+    total, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng,
+                                   *step_inputs(ds, split))
     assert parts.total == parts.sup
     assert total.item() == parts.sup
 
@@ -121,16 +128,26 @@ def test_step_total_satisfies_combination_identity(tiny_setup):
     rng = np.random.default_rng(3)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     cfg = TrainConfig(lambda1=0.5, lambda2=2.0)
-    _, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
+    _, parts = build_step_loss(tape, ds, split, encoder, head, cfg, rng,
+                               *step_inputs(ds, split))
     assert parts.total == (0.5 * parts.nc + 2.0 * parts.lc) + parts.sup
     assert all(np.isfinite(v) for v in (parts.nc, parts.lc, parts.sup, parts.total))
 
 
-def test_step_gradcheck_full_objective(tiny_setup):
-    """Central finite differences over the complete step objective."""
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_step_gradcheck_full_objective(tiny_setup, layout):
+    """Central finite differences over the complete step objective, on the
+    features `fit` trains on: dense, or CSR at most 5% nonzero (column
+    masking by `scale_columns`, feature dropout by `drop_entries`)."""
     from grafn.gradcheck import finite_diff_check
 
     ds, split = tiny_setup
+    if layout == "csr":
+        ds = random_dataset(24, num_classes=3, num_features=40, feature_signal=0.08,
+                            feature_noise=0.005, seed=4)
+        split = generate_splits(ds, 0.15, 1, 0)[0]
+    features, unlabeled = step_inputs(ds, split)
+    assert isinstance(features, SparseFeatures) == (layout == "csr")
     tape = Tape()
     encoder, head = init_params(
         tape, ds.num_features, 6, 6, ds.class_count, 0.2, np.random.default_rng(5)
@@ -143,12 +160,12 @@ def test_step_gradcheck_full_objective(tiny_setup):
         return tape.detach(p)
 
     build_step_loss(tape, ds, split, encoder, head, cfg,
-                    np.random.default_rng(6), target=record)
+                    np.random.default_rng(6), features, unlabeled, target=record)
 
     def build():
         total, _ = build_step_loss(
-            tape, ds, split, encoder, head, cfg, np.random.default_rng(6),
-            target=lambda tape, p: Tensor(frozen["p"]),
+            tape, ds, split, encoder, head, cfg, np.random.default_rng(6), features,
+            unlabeled, target=lambda tape, p: Tensor(frozen["p"]),
         )
         return total
 
@@ -174,11 +191,12 @@ def test_node_consistency_gradcheck_ten_nodes():
     from grafn.objective import node_consistency_loss
 
     ds, split, tape, encoder, head = ten_node_setup()
+    x = prepare_features(ds, TrainConfig())
 
     def build():
         rng = np.random.default_rng(14)
-        adj_a, x_a = augment_view(ds, 0.2, 0.2, rng)
-        adj_b, x_b = augment_view(ds, 0.2, 0.2, rng)
+        adj_a, x_a = augment_view(ds.adj, x, 0.2, 0.2, rng)
+        adj_b, x_b = augment_view(ds.adj, x, 0.2, 0.2, rng)
         z_a = encoder.encode(tape, adj_a, x_a, training=False)
         z_b = encoder.encode(tape, adj_b, x_b, training=False)
         return node_consistency_loss(tape, tape.normalize_rows(z_a), tape.normalize_rows(z_b))
@@ -225,7 +243,8 @@ def test_step_applies_adam(tiny_setup):
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     before = encoder.w1.data.copy()
     cfg = small_cfg()
-    parts = train_step(tape, ds, split, encoder, head, cfg, AdamState(tape.parameters.values()), rng, 1)
+    parts = train_step(tape, ds, split, encoder, head, cfg, AdamState(tape.parameters.values()),
+                       rng, 1, *step_inputs(ds, split))
     assert isinstance(parts, StepLosses)
     assert not np.array_equal(encoder.w1.data, before)
 
@@ -251,7 +270,8 @@ def test_every_tape_kernel_is_in_use(tiny_setup, monkeypatch):
     tape = Tape()
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1,
                                 np.random.default_rng(0))
-    build_step_loss(tape, ds, split, encoder, head, small_cfg(), np.random.default_rng(1))
+    build_step_loss(tape, ds, split, encoder, head, small_cfg(), np.random.default_rng(1),
+                    *step_inputs(ds, split))
     assert calls["normalize_rows"] == 2
     for snn_inference in (False, True):
         predict(encoder, head, normalize_adjacency(ds.adj), ds.features,
@@ -298,10 +318,10 @@ def test_fit_history_satisfies_combination_identity(tiny_setup):
 
 def test_fit_divergence_guard_saves_history():
     ds = random_dataset(16, num_classes=2, num_features=8, seed=9)
-    ds.features[0, 0] = np.nan  # poisoned input: forward goes non-finite
+    ds.features[0, 0] = np.nan  # survives row normalization: forward goes non-finite
     split = generate_splits(ds, 0.2, 1, 0)[0]
     with pytest.raises(DivergenceError) as err:
-        fit(ds, split, small_cfg(feature_row_normalize=False))
+        fit(ds, split, small_cfg())
     assert len(err.value.history) >= 1
 
 
@@ -391,23 +411,22 @@ def feature_matrices(draw):
     rows, cols = draw(st.integers(2, 12)), draw(st.integers(1, 12))
     cell = st.sampled_from([0.0, 0.0, 0.0, 0.0, -0.0, 1.0, -2.5, 0.3, 5e-324, -1e-310])
     cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
-    return np.array(cells).reshape(rows, cols), draw(st.booleans())
+    return np.array(cells).reshape(rows, cols)
 
 
 @settings(max_examples=200, deadline=None)
 @given(feature_matrices())
-@example((np.zeros((3, 4)), True))                           # all zero
-@example((np.pad([[0.3]], ((0, 3), (0, 4))), True))           # 5%, empty rows
-@example((np.pad([[5e-324, -1e-310]], ((1, 0), (0, 18))), False))  # 5%, subnormal
-@example((np.pad([[5e-324, -1e-310]], ((1, 0), (0, 17))), False))  # 5.3%: dense
-@example((np.pad([[5e-324, 2.0, 1.0]], ((1, 0), (0, 17))), True))  # 7.5%, 5% normalized
-def test_prepare_features_csr_is_scipy_csr_byte_for_byte(case):
+@example(np.zeros((3, 4)))                                # all zero
+@example(np.pad([[0.3]], ((0, 3), (0, 4))))                # 5%, empty rows
+@example(np.pad([[5e-324, -1e-310]], ((1, 0), (0, 18))))   # 5%, subnormal
+@example(np.pad([[5e-324, -1e-310]], ((1, 0), (0, 17))))   # 5.3%: dense
+@example(np.pad([[5e-324, 2.0, 1.0]], ((1, 0), (0, 17))))  # 7.5%, 5% normalized
+def test_prepare_features_csr_is_scipy_csr_byte_for_byte(x):
     """CSR exactly at or below 5% nonzero; its arrays and their dtypes are
-    those of scipy.sparse.csr_matrix of the (row-normalized) matrix."""
-    x, normalize = case
+    those of scipy.sparse.csr_matrix of the row-normalized matrix."""
     ds = make_dataset(len(x), [(0, 1)], [0] * len(x), 1, features=x)
-    out = prepare_features(ds, TrainConfig(feature_row_normalize=normalize))
-    x = row_normalize(x) if normalize else x  # may round a subnormal to 0
+    out = prepare_features(ds, TrainConfig())
+    x = row_normalize(x)  # may round a subnormal to 0
     if 20 * np.count_nonzero(x) > x.size:
         assert isinstance(out, np.ndarray)
         return
