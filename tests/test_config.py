@@ -31,11 +31,12 @@ def test_comments_and_blank_lines_are_ignored():
 
 def test_values_are_typed_per_key():
     values = parse_config_text(
-        "max_epochs = 7\nlearning_rate = 1e-2\nsnn_inference = yes\nsnn_inference = OFF\n"
+        "max_epochs = 7\nlearning_rate = 1e-2\nsnn_inference = yes\n"
     )
-    assert values == {"max_epochs": 7, "learning_rate": 0.01, "snn_inference": False}
+    assert values == {"max_epochs": 7, "learning_rate": 0.01, "snn_inference": True}
     assert type(values["max_epochs"]) is int
     assert type(values["learning_rate"]) is float
+    assert parse_config_text("snn_inference = OFF\n") == {"snn_inference": False}
 
 
 @pytest.mark.parametrize("text, message", [
