@@ -134,13 +134,20 @@ def sim_at_k(
     """Mean fraction of each query's k cosine-nearest neighbors (self
     excluded, ties toward the lower index) sharing the query's label.
 
-    The neighbours are selected, not sorted: `np.partition` finds each
-    row's k-th largest similarity, and only the entries at or above it are
-    ranked, those above it first and then its ties, each in index order.
+    The neighbours are selected, not sorted. A row of n >= 4g entries, for
+    g = max(k, 128), is split into g column groups (column c in group
+    c mod g); the k-th largest of the g group maxima bounds the row's k-th
+    largest similarity from below, and `np.partition` finds that value
+    exactly among the few entries at or above the bound. A shorter row is
+    partitioned whole, since the bound saves nothing there. Only the entries
+    at or above the k-th value are ranked, those above it first and then its
+    ties, each in index order.
     """
     n = z.shape[0]
     if not 1 <= k < n:
         raise NumericsError(f"k={k} must be at least 1 and smaller than the node count {n}")
+    if block < 1:
+        raise NumericsError(f"sim_at_k: block={block} must be at least 1")
     if query_nodes is None:
         query_nodes = np.arange(n)
     if len(query_nodes) == 0:
@@ -154,20 +161,39 @@ def sim_at_k(
             f"sim_at_k: embedding row {bad[0]} has zero or non-finite norm {norms[bad[0]]}"
         )
     zn = z / norms[:, None]
+    g = max(k, 128)
+    full = n - n % g
+    buf = np.empty((min(block, len(query_nodes)), n), dtype=zn.dtype)
     fractions = np.empty(len(query_nodes))
     for start in range(0, len(query_nodes), block):
         q = query_nodes[start:start + block]
-        sims = zn[q] @ zn.T
-        sims[np.arange(len(q)), q] = -np.inf
-        kth = np.partition(sims, n - k, axis=1)[:, n - k]
-        # row-major candidates; per row at least k of them, fewer than k above kth
-        idx = np.flatnonzero(sims >= kth[:, None])
+        b = len(q)
+        sims = np.matmul(zn[q], zn.T, out=buf[:b])
+        sims[np.arange(b), q] = -np.inf
+        flat = sims.ravel()
+        if n >= 4 * g:
+            top = sims[:, :full].reshape(b, -1, g).max(axis=1)
+            np.maximum(top[:, :n - full], sims[:, full:], out=top[:, :n - full])
+            bound = np.partition(top, g - k, axis=1)[:, g - k]
+            # row-major candidates, at least k per row; pad to the widest with -inf
+            idx = np.flatnonzero(sims >= bound[:, None])
+            rows = idx // n
+            first = np.searchsorted(rows, np.arange(b + 1))
+            width = np.diff(first).max()
+            cand = np.full((b, width), -np.inf)
+            cand[rows, np.arange(len(idx)) - first[rows]] = flat[idx]
+            kth = np.partition(cand, width - k, axis=1)[:, width - k]
+            idx = idx[flat[idx] >= kth[rows]]
+        else:
+            kth = np.partition(sims, n - k, axis=1)[:, n - k]
+            idx = np.flatnonzero(sims >= kth[:, None])
+        # row-major; per row at least k entries, fewer than k above kth
         rows = idx // n
-        idx = idx[np.argsort(2 * rows + (sims.ravel()[idx] == kth[rows]), kind="stable")]
-        first = np.searchsorted(rows, np.arange(len(q)))
+        idx = idx[np.argsort(2 * rows + (flat[idx] == kth[rows]), kind="stable")]
+        first = np.searchsorted(rows, np.arange(b))
         nbrs = idx[first[:, None] + np.arange(k)] % n
         same = label_ids[nbrs] == label_ids[q][:, None]
-        fractions[start:start + len(q)] = np.count_nonzero(same, axis=1) / k
+        fractions[start:start + b] = np.count_nonzero(same, axis=1) / k
     return float(np.mean(fractions))
 
 

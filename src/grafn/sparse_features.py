@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericsError
-
 
 class SparseFeatures:
     """Immutable CSR feature matrix; transforms return new value arrays."""
@@ -22,15 +20,13 @@ class SparseFeatures:
         self._csr = csr
 
     @classmethod
-    def from_dense(cls, x: np.ndarray, nonzero: np.ndarray | None = None) -> "SparseFeatures":
-        """CSR of a float64 matrix, byte for byte `sp.csr_matrix(x)`, built
-        from `nonzero = np.flatnonzero(x)` (computed here when not given)."""
-        x = np.asarray(x, dtype=np.float64)
-        if nonzero is None:
-            nonzero = np.flatnonzero(x)
-        rows, cols = np.divmod(nonzero, x.shape[1])
-        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=x.shape[0])))
-        return cls(sp.csr_matrix((x.ravel()[nonzero], cols, indptr), x.shape))
+    def from_nonzeros(cls, shape: tuple[int, int], positions: np.ndarray,
+                      values: np.ndarray) -> "SparseFeatures":
+        """CSR of the matrix whose nonzeros sit at the sorted row-major
+        `positions`; byte for byte `sp.csr_matrix` of that dense matrix."""
+        rows, cols = np.divmod(positions, shape[1])
+        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))
+        return cls(sp.csr_matrix((values, cols, indptr), shape))
 
     @property
     def shape(self):
@@ -38,10 +34,6 @@ class SparseFeatures:
 
     def scale_columns(self, col_scale: np.ndarray) -> "SparseFeatures":
         """Multiply each column by a scalar (0/1 for feature masking)."""
-        if col_scale.shape != (self._csr.shape[1],):
-            raise NumericsError(
-                f"column scale shape {col_scale.shape} vs {self._csr.shape[1]} columns"
-            )
         out = self._csr.copy()
         out.data = out.data * col_scale[out.indices]
         return SparseFeatures(out)

@@ -183,18 +183,23 @@ def train_step(
 # feature preprocessing
 
 
-def row_normalize(features: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return features / norms
-
-
 def prepare_features(ds: GraphDataset, cfg: TrainConfig):
     """Row normalization, then CSR when at most 5% of entries are nonzero;
-    `cfg` is unused for now."""
-    x = row_normalize(ds.features)
-    nonzero = np.flatnonzero(x)
-    return SparseFeatures.from_dense(x, nonzero) if nonzero.size / x.size <= 0.05 else x
+    `cfg` is unused for now.
+
+    Only the raw nonzeros are divided by their row norms, and a quotient
+    that underflows to zero is dropped, so the CSR holds exactly the nonzeros
+    of the normalized matrix without building it densely."""
+    x = ds.features
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    nonzero = np.flatnonzero(x != 0.0)
+    values = x.ravel()[nonzero] / norms[nonzero // x.shape[1]]
+    kept = values != 0.0
+    nonzero, values = nonzero[kept], values[kept]
+    if nonzero.size / x.size <= 0.05:
+        return SparseFeatures.from_nonzeros(x.shape, nonzero, values)
+    return x / norms[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from grafn import GraphDataset, TrainConfig, fit, generate_splits, random_dataset
 from grafn.sparse import SparseAdjacency
+from grafn.sparse_features import SparseFeatures
 
 
 def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=None,
@@ -22,6 +23,13 @@ def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=N
         class_count=num_classes,
         name=name,
     )
+
+
+def sparse_features(x):
+    """The CSR of a dense matrix, through the constructor `prepare_features` uses."""
+    x = np.asarray(x, dtype=np.float64)
+    nonzero = np.flatnonzero(x)
+    return SparseFeatures.from_nonzeros(x.shape, nonzero, x.ravel()[nonzero])
 
 
 # A planted-partition regime where six labeled nodes are not enough for the

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from grafn import ConfigError, TrainConfig, random_dataset
 from grafn.augment import augment_view, drop_edges, mask_features
 from grafn.sparse import SparseAdjacency, normalize_adjacency
-from grafn.sparse_features import SparseFeatures
+from tests.conftest import sparse_features
 
 
 def test_mask_p_zero_is_identity():
@@ -37,7 +37,7 @@ def test_mask_sparse_dense_column_equivalence():
     rng = np.random.default_rng(5)
     x = (rng.random((8, 30)) < 0.3) * rng.random((8, 30))
     dense = mask_features(x, 0.35, np.random.default_rng(11))
-    sparse = mask_features(SparseFeatures.from_dense(x), 0.35, np.random.default_rng(11))
+    sparse = mask_features(sparse_features(x), 0.35, np.random.default_rng(11))
     np.testing.assert_array_equal(sparse._csr.toarray(), dense)
 
 

@@ -45,6 +45,12 @@ def test_sim_at_k_k_too_large():
             sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
 
 
+@pytest.mark.parametrize("block", [0, -1])
+def test_sim_at_k_rejects_block_below_one(block):
+    with pytest.raises(NumericsError, match=f"block={block} must be at least 1"):
+        sim_at_k(np.eye(5, 2) + 1.0, np.zeros(5, dtype=int), 3, block=block)
+
+
 def test_sim_at_k_rejects_empty_query_set():
     with pytest.raises(NumericsError, match="query set is empty"):
         sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), 2, query_nodes=np.array([], int))

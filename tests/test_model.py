@@ -12,10 +12,9 @@ from grafn.gradcheck import finite_diff_check
 from grafn.model import build_from_checkpoint, embed, init_params
 from grafn.objective import SupportSet, snn_distribution
 from grafn.sparse import SparseAdjacency, normalize_adjacency
-from grafn.sparse_features import SparseFeatures
 from grafn.tape import Tape
 from grafn.trainer import prepare_features
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, sparse_features
 
 
 def fresh(seed=0, f=6, h=4, d=4, c=3, dropout=0.0):
@@ -96,7 +95,7 @@ def test_encode_sparse_dense_paths_agree():
         SparseAdjacency.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
     )
     dense = encoder.encode(tape, adj, x, training=False).data
-    sparse = encoder.encode(tape, adj, SparseFeatures.from_dense(x), training=False).data
+    sparse = encoder.encode(tape, adj, sparse_features(x), training=False).data
     np.testing.assert_allclose(sparse, dense, atol=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_embed_records_nothing_and_equals_eval_encode(monkeypatch, sparse_input)
     _, encoder, _ = fresh(f=10, dropout=0.5)
     rng = np.random.default_rng(4)
     x = (rng.random((8, 10)) < 0.4) * rng.random((8, 10))
-    x = SparseFeatures.from_dense(x) if sparse_input else x
+    x = sparse_features(x) if sparse_input else x
     adj = normalize_adjacency(
         SparseAdjacency.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
     )
@@ -136,7 +135,7 @@ def test_encode_classify_cross_entropy_gradcheck(sparse_input):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
     adj = normalize_adjacency(SparseAdjacency.from_edges(n, edges))
     x_dense = (rng.random((n, f)) < 0.5) * rng.random((n, f))
-    x = SparseFeatures.from_dense(x_dense) if sparse_input else x_dense
+    x = sparse_features(x_dense) if sparse_input else x_dense
     onehot = np.eye(3)[rng.integers(0, 3, n)]
 
     def build():

@@ -57,11 +57,18 @@ def test_sim_at_k_matches_sort_oracle_for_every_k(case):
 
 
 def test_sim_at_k_matches_sort_oracle_across_blocks():
-    """Heavy ties in a 700-node graph: the default 512-row block splits the
-    queries, and for k = 50 the tied candidates cross both blocks."""
+    """Heavy ties in a 700-node graph, past the n >= 4 * max(k, 128) rows
+    that take the group-maximum bound: the blocks split the queries, and for
+    k = 50 the tied candidates cross them. With d = 1 every cosine is +-1,
+    so about half of each row ties at the bound, the widest candidate rows."""
     rng = np.random.default_rng(5)
-    z = rng.integers(-2, 3, size=(700, 3)).astype(np.float64)
-    z[np.linalg.norm(z, axis=1) == 0.0, 0] = 1.0
-    labels = rng.integers(0, 4, 700)
-    for k in (1, 5, 10, 50):
-        assert sim_at_k(z, labels, k) == ref_sim_at_k(z, labels, k)
+    for d in (3, 1):
+        z = rng.integers(-2, 3, size=(700, d)).astype(np.float64)
+        z[np.linalg.norm(z, axis=1) == 0.0, 0] = 1.0
+        labels = rng.integers(0, 4, 700)
+        for queries in (None, rng.choice(700, 300, replace=False)):
+            for k in (1, 5, 10, 50, 127, 128, 129):
+                for block in (97, 512):
+                    assert sim_at_k(z, labels, k, queries, block) == ref_sim_at_k(
+                        z, labels, k, queries, block
+                    ), (d, k, block)

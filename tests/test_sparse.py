@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from grafn import NumericsError
 from grafn.sparse import SparseAdjacency
-from grafn.sparse_features import SparseFeatures
+from tests.conftest import sparse_features
 
 
 def test_from_edges_materializes_both_directions():
@@ -94,7 +94,7 @@ def test_validate_catches_negative_values():
 def test_sparse_features_roundtrip():
     rng = np.random.default_rng(0)
     x = (rng.random((6, 9)) < 0.3) * rng.random((6, 9))
-    sf = SparseFeatures.from_dense(x)
+    sf = sparse_features(x)
     np.testing.assert_array_equal(sf._csr.toarray(), x)
     assert sf.shape == (6, 9)
 
@@ -103,7 +103,7 @@ def test_sparse_features_matmul_matches_dense():
     rng = np.random.default_rng(1)
     x = (rng.random((7, 5)) < 0.4) * rng.standard_normal((7, 5))
     w = rng.standard_normal((5, 3))
-    sf = SparseFeatures.from_dense(x)
+    sf = sparse_features(x)
     np.testing.assert_allclose(sf.matmul(w), x @ w, atol=1e-12)
     g = rng.standard_normal((7, 3))
     np.testing.assert_allclose(sf.grad_right(g), x.T @ g, atol=1e-12)
@@ -111,7 +111,7 @@ def test_sparse_features_matmul_matches_dense():
 
 def test_sparse_features_column_scale():
     x = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
-    sf = SparseFeatures.from_dense(x).scale_columns(np.array([1.0, 0.0, 1.0]))
+    sf = sparse_features(x).scale_columns(np.array([1.0, 0.0, 1.0]))
     np.testing.assert_array_equal(
         sf._csr.toarray(), [[1.0, 0.0, 0.0], [0.0, 0.0, 4.0]]
     )
@@ -119,7 +119,7 @@ def test_sparse_features_column_scale():
 
 def test_sparse_features_drop_entries_scales_survivors():
     x = np.ones((20, 50))
-    sf = SparseFeatures.from_dense(x)
+    sf = sparse_features(x)
     dropped = sf.drop_entries(0.5, np.random.default_rng(3))._csr.toarray()
     assert set(np.unique(dropped)) == {0.0, 2.0}
     assert abs(dropped.mean() - 1.0) < 0.1
@@ -130,7 +130,7 @@ def test_sparse_features_drop_entries_stores_no_zeros():
     for bit, those of the CSR that keeps them as stored zeros."""
     rng = np.random.default_rng(6)
     x = (rng.random((40, 30)) < 0.2) * rng.standard_normal((40, 30))
-    masked = SparseFeatures.from_dense(x).scale_columns((rng.random(30) >= 0.5) * 1.0)
+    masked = sparse_features(x).scale_columns((rng.random(30) >= 0.5) * 1.0)
     dropped = masked.drop_entries(0.5, np.random.default_rng(8))
     assert np.all(dropped._csr.data != 0.0)
     ref = masked._csr.copy()

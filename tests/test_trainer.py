@@ -28,7 +28,6 @@ from grafn.trainer import (
     adam_update,
     build_step_loss,
     prepare_features,
-    row_normalize,
     train_step,
 )
 from tests.conftest import make_dataset
@@ -389,11 +388,20 @@ def test_train_config_validation():
 # helpers and evaluation
 
 
+def row_normalize(features):
+    """The dense row normalization `prepare_features` matches bit for bit:
+    each row divided by its L2 norm, zero rows left as they are."""
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return features / norms
+
+
 def test_row_normalize_unit_rows_and_zero_guard():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
-    out = row_normalize(x)
-    np.testing.assert_allclose(out[0], [0.6, 0.8])
-    np.testing.assert_array_equal(out[1], [0.0, 0.0])
+    ds = make_dataset(2, [(0, 1)], [0, 0], 1, features=x)
+    for out in (row_normalize(x), prepare_features(ds, TrainConfig())):
+        np.testing.assert_allclose(out[0], [0.6, 0.8])
+        np.testing.assert_array_equal(out[1], [0.0, 0.0])
 
 
 def test_prepare_features_auto_density():
@@ -423,12 +431,15 @@ def feature_matrices(draw):
 @example(np.pad([[5e-324, 2.0, 1.0]], ((1, 0), (0, 17))))  # 7.5%, 5% normalized
 def test_prepare_features_csr_is_scipy_csr_byte_for_byte(x):
     """CSR exactly at or below 5% nonzero; its arrays and their dtypes are
-    those of scipy.sparse.csr_matrix of the row-normalized matrix."""
+    those of scipy.sparse.csr_matrix of the row-normalized matrix. Above 5%
+    the dense result is the row-normalized matrix, bit for bit."""
     ds = make_dataset(len(x), [(0, 1)], [0] * len(x), 1, features=x)
     out = prepare_features(ds, TrainConfig())
     x = row_normalize(x)  # may round a subnormal to 0
     if 20 * np.count_nonzero(x) > x.size:
         assert isinstance(out, np.ndarray)
+        assert out.dtype == x.dtype and out.shape == x.shape
+        assert out.tobytes() == x.tobytes()
         return
     want = sp.csr_matrix(x)
     for name in ("data", "indices", "indptr"):
