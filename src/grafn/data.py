@@ -397,7 +397,7 @@ def generate_splits(
     if base_seed < 0:
         raise ConfigError(f"the split seed must be >= 0, got {base_seed}")
     if not 0.0 < label_rate < 1.0:
-        raise DataError(f"label_rate must be in (0,1), got {label_rate}")
+        raise ConfigError(f"label_rate must be in (0,1), got {label_rate}")
     n = ds.num_nodes
     c = ds.class_count
     n_labeled = _round_half_up(label_rate * n)

@@ -145,9 +145,9 @@ def sim_at_k(
     """
     n = z.shape[0]
     if not 1 <= k < n:
-        raise NumericsError(f"k={k} must be at least 1 and smaller than the node count {n}")
+        raise ConfigError(f"k={k} must be at least 1 and smaller than the node count {n}")
     if block < 1:
-        raise NumericsError(f"sim_at_k: block={block} must be at least 1")
+        raise ConfigError(f"sim_at_k: block={block} must be at least 1")
     if query_nodes is None:
         query_nodes = np.arange(n)
     if len(query_nodes) == 0:

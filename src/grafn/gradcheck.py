@@ -32,8 +32,6 @@ def finite_diff_check(
     and be deterministic (fix every seed it consumes). Kink-adjacent entries
     are skipped; differences below the 1e-8 absolute floor count as exact.
     """
-    params = list(tape.parameters.values())
-
     v0 = _value(tape, build_loss)
     if _value(tape, build_loss) != v0:
         raise NumericsError("loss function is not deterministic across evaluations")
@@ -41,12 +39,12 @@ def finite_diff_check(
     tape.new_step()
     loss = build_loss()
     tape.backward(loss)
-    grads = {p.name: p.grad.copy() for p in params}
+    grads = {name: p.grad.copy() for name, p in tape.parameters.items()}
 
     max_rel = 0.0
-    for p in params:
+    for name, p in tape.parameters.items():
         flat = p.data.reshape(-1)
-        gflat = grads[p.name].reshape(-1)
+        gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
 

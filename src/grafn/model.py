@@ -19,7 +19,7 @@ from .errors import DataError, NumericsError
 from .objective import SupportSet, snn_distribution
 from .sparse import SparseAdjacency
 from .sparse_features import SparseFeatures
-from .tape import Parameter, Tape, Tensor
+from .tape import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"GRAFN1"
 
@@ -31,8 +31,8 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 @dataclass
 class GcnEncoder:
-    w1: Parameter  # F x H
-    w2: Parameter  # H x D
+    w1: Tensor  # F x H
+    w2: Tensor  # H x D
     dropout: float
 
     def encode(
@@ -45,8 +45,6 @@ class GcnEncoder:
     ) -> Tensor:
         """Z = A_hat . ReLU(A_hat . dropout(X) . W1) . W2, with dropout between
         layers while training."""
-        if training and rng is None:
-            raise NumericsError("training-mode encode needs an rng for dropout")
         if isinstance(x, SparseFeatures):
             if training and self.dropout > 0.0:
                 x = x.drop_entries(self.dropout, rng)
@@ -62,8 +60,8 @@ class GcnEncoder:
 
 @dataclass
 class LinearHead:
-    w: Parameter  # D x C
-    b: Parameter  # 1 x C
+    w: Tensor  # D x C
+    b: Tensor  # 1 x C
 
     def classify(self, tape: Tape, z: Tensor) -> Tensor:
         return tape.add_bias(tape.matmul(z, self.w), self.b)

@@ -35,16 +35,15 @@ def random_dataset(
     classes = np.arange(n) % num_classes
     rng.shuffle(classes)
 
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if classes[i] == classes[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
+    # one draw per pair i < j, in row-major order
+    src, dst = np.triu_indices(n, 1)
+    p = np.where(classes[src] == classes[dst], p_in, p_out)
+    hit = rng.random(len(src)) < p
+    src, dst = src[hit], dst[hit]
+    edges = list(zip(src.tolist(), dst.tolist()))
     # keep every node attached so degrees stay positive
     attached = np.zeros(n, dtype=bool)
-    for i, j in edges:
-        attached[i] = attached[j] = True
+    attached[src] = attached[dst] = True
     for i in np.flatnonzero(~attached):
         peers = np.flatnonzero(classes == classes[i])
         peers = peers[peers != i]

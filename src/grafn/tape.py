@@ -49,19 +49,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter(Tensor):
-    """Trainable tensor with a name; always participates in gradients."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.data.shape})"
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -78,20 +65,15 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._step = 0
-        self.parameters: dict[str, Parameter] = {}
+        self.parameters: dict[str, Tensor] = {}
 
     # -- parameter registry -------------------------------------------------
 
-    def parameter(self, data, name: str) -> Parameter:
-        if name in self.parameters:
-            raise NumericsError(f"parameter {name!r} registered twice")
-        p = Parameter(data, name)
+    def parameter(self, data, name: str) -> Tensor:
+        """A trainable tensor registered under `name`."""
+        p = Tensor(data, requires_grad=True)
         self.parameters[name] = p
         return p
-
-    def zero_grad(self) -> None:
-        for p in self.parameters.values():
-            p.grad = None
 
     def new_step(self) -> None:
         """Discard the recorded graph; parameters persist."""
@@ -114,15 +96,14 @@ class Tape:
         Gradients of previous steps are cleared first; parameters that the
         loss does not reach end up with zero gradients.
         """
-        if loss.data.size != 1:
-            raise NumericsError(f"loss must be scalar, got shape {loss.data.shape}")
         if loss._origin is not None and (
             loss._origin[0]() is not self or loss._origin[1] != self._step
         ):
             raise NumericsError("loss was not produced on this tape's current step")
         for out, _ in self._records:
             out.grad = None
-        self.zero_grad()
+        for p in self.parameters.values():
+            p.grad = None
         loss.grad = np.ones_like(loss.data)
         for out, backprop in reversed(self._records):
             if out.grad is not None:
@@ -209,8 +190,6 @@ class Tape:
     def row_dot(self, x, y) -> Tensor:
         """Per-row inner product; returns a length-N vector."""
         x, y = _wrap(x), _wrap(y)
-        if x.data.ndim != 2 or x.data.shape != y.data.shape:
-            raise NumericsError(f"row_dot shape mismatch: {x.data.shape} vs {y.data.shape}")
 
         def backprop(g, x=x, y=y):
             _accumulate(x, g[:, None] * y.data)
@@ -275,8 +254,6 @@ class Tape:
 
     def add(self, a, b) -> Tensor:
         a, b = _wrap(a), _wrap(b)
-        if a.data.shape != b.data.shape:
-            raise NumericsError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
 
         def backprop(g, a=a, b=b):
             _accumulate(a, g)
@@ -287,10 +264,6 @@ class Tape:
     def add_bias(self, x, b) -> Tensor:
         """x + row-broadcast bias of shape (1, C)."""
         x, b = _wrap(x), _wrap(b)
-        if b.data.shape != (1, x.data.shape[1]):
-            raise NumericsError(
-                f"add_bias shape mismatch: {x.data.shape} + {b.data.shape}"
-            )
 
         def backprop(g, x=x, b=b):
             _accumulate(x, g)
@@ -314,13 +287,7 @@ class Tape:
         (the target side only does when stop-gradient is deliberately off).
         """
         target, pred = _wrap(target), _wrap(pred)
-        if target.data.shape != pred.data.shape:
-            raise NumericsError(
-                f"cross_entropy shape mismatch: {target.data.shape} vs {pred.data.shape}"
-            )
         m = target.data.shape[0]
-        if m == 0:
-            raise NumericsError("cross_entropy over zero rows")
         clipped = np.maximum(pred.data, CE_FLOOR)
         logs = np.log(clipped)
         out = np.asarray(-(target.data * logs).sum() / m)
@@ -337,13 +304,7 @@ class Tape:
         """Mean softmax cross-entropy against constant one-hot targets."""
         logits = _wrap(logits)
         y = np.asarray(onehot, dtype=np.float64)
-        if logits.data.shape != y.shape:
-            raise NumericsError(
-                f"softmax_cross_entropy shape mismatch: {logits.data.shape} vs {y.shape}"
-            )
         m = y.shape[0]
-        if m == 0:
-            raise NumericsError("softmax_cross_entropy over zero rows")
         shifted = logits.data - logits.data.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - lse

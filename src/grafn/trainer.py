@@ -16,7 +16,7 @@ import numpy as np
 from .augment import augment_view
 from .config import TrainConfig
 from .data import GraphDataset, SplitSpec
-from .errors import DivergenceError, NumericsError
+from .errors import DivergenceError
 from .model import GcnEncoder, LinearHead, init_params, predict
 from .objective import (
     confident_set,
@@ -64,24 +64,21 @@ class RunResult:
 class AdamState:
     """First/second moment accumulators per parameter name."""
 
-    def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+    def __init__(self, params: dict[str, Tensor]):
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_update(params, state: AdamState, lr: float, weight_decay: float,
-                step: int) -> None:
-    """Adam with decoupled weight decay (applied before the moment update)."""
-    if step < 1:
-        raise NumericsError(f"adam step must be >= 1, got {step}")
-    for p in params:
+def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
+                weight_decay: float, step: int) -> None:
+    """Adam with decoupled weight decay (applied before the moment update),
+    at `step` >= 1 on the gradients `Tape.backward` left on `params`."""
+    for name, p in params.items():
         g = p.grad
-        if g is None or g.shape != p.data.shape:
-            raise NumericsError(f"parameter {p.name}: missing or mis-shaped gradient")
         if weight_decay:
             p.data = p.data - lr * weight_decay * p.data
-        m = state.m[p.name] = ADAM_BETA1 * state.m[p.name] + (1 - ADAM_BETA1) * g
-        v = state.v[p.name] = ADAM_BETA2 * state.v[p.name] + (1 - ADAM_BETA2) * g * g
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1 ** step)
         v_hat = v / (1 - ADAM_BETA2 ** step)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -172,10 +169,7 @@ def train_step(
         features=features, unlabeled=unlabeled,
     )
     tape.backward(total)
-    adam_update(
-        list(tape.parameters.values()), adam, cfg.learning_rate,
-        cfg.weight_decay, step_index,
-    )
+    adam_update(tape.parameters, adam, cfg.learning_rate, cfg.weight_decay, step_index)
     return parts
 
 
@@ -221,7 +215,7 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
         tape, ds.num_features, cfg.hidden_dim, cfg.embed_dim, ds.class_count,
         cfg.dropout, rng,
     )
-    adam = AdamState(tape.parameters.values())
+    adam = AdamState(tape.parameters)
     features = prepare_features(ds, cfg)
     adj_clean = normalize_adjacency(ds.adj)
     label_ids = ds.label_ids()

@@ -356,6 +356,13 @@ def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tm
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0", "--out", "{out}"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "-3", "--out", "{out}"],
     ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0"],
+    ["split", "{data}", "--rate", "0", "--n", "1", "--out", "{out}"],
+    ["bench", "{data}", "--rate", "1.5", "--n", "1", "--out", "{out}"],
+    ["ablate", "{data}", "--rate", "nan", "--n", "1"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "0"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "60"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "-1"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "100000", "--out", "{out}"],
 ], ids=lambda argv: " ".join(argv))
 def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split, trained_dir,
                                                             tmp_path, capsys, argv):
@@ -452,11 +459,6 @@ def test_simsearch_reports_requested_ks(data_dir, trained_dir, tmp_path, capsys)
         assert payload["effective_config"] == json.load(fh)["effective_config"]
     for v in payload["results"].values():
         assert 0.0 <= v <= 1.0
-
-
-def test_simsearch_k_too_large_exits_4(data_dir, trained_dir):
-    ckpt = os.path.join(trained_dir, "checkpoint.bin")
-    assert run(["simsearch", ckpt, data_dir, "--k", "60"]) == 4
 
 
 def test_simsearch_non_finite_embedding_exits_4(data_dir, trained_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import (
+    ConfigError,
     DataError,
     SplitSpec,
     generate_splits,
@@ -16,7 +18,7 @@ from grafn import (
 )
 from grafn.data import convert_content_cites, degree_buckets
 from grafn.sparse import SparseAdjacency, normalize_adjacency
-from tests.conftest import make_dataset
+from tests.conftest import SYNTH_KW, make_dataset
 
 
 def write_toy_dir(path, edges, features, labels, meta=None):
@@ -115,6 +117,21 @@ def test_write_load_roundtrip_is_identity(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.adj.csr.toarray(), ds.adj.csr.toarray())
     assert back.name == ds.name
+
+
+@pytest.mark.parametrize("kwargs, prefix", [
+    (SYNTH_KW, "54e6189761cb9e20"),
+    # the `gradcheck` command's default graph
+    (dict(n=20, num_classes=3, num_features=12, p_in=0.3, p_out=0.1, seed=0),
+     "f52c8778862671a1"),
+], ids=["synthetic300", "gradcheck"])
+def test_random_dataset_bytes_are_pinned(kwargs, prefix):
+    """SHA-256 of the adjacency's CSR arrays, the features and the labels."""
+    ds = random_dataset(**kwargs)
+    h = hashlib.sha256()
+    for a in (ds.adj.csr.indptr, ds.adj.csr.indices, ds.adj.csr.data, ds.features, ds.labels):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == prefix
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +281,13 @@ def test_split_rate_too_small_for_classes():
     ds = make_dataset(100, [(0, 1)], np.arange(100) % 5, 5)
     with pytest.raises(DataError, match="fewer than 5 classes"):
         generate_splits(ds, 0.02, 1, 0)  # round(2) < 5
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_split_rate_outside_unit_interval_is_config_error(rate):
+    ds = random_dataset(30, seed=0)
+    with pytest.raises(ConfigError, match=r"label_rate must be in \(0,1\)"):
+        generate_splits(ds, rate, 1, 0)
 
 
 def test_split_deterministic_per_base_seed():

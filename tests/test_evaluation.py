@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grafn import (
+    ConfigError,
     DivergenceError,
     NumericsError,
     TrainConfig,
@@ -41,13 +42,13 @@ def test_sim_at_k_k_too_large():
     # k must lie in [1, n): k=0 would average nothing, a negative k would
     # keep n+k neighbours
     for k in (5, 6, 0, -3):
-        with pytest.raises(NumericsError, match=f"k={k}"):
+        with pytest.raises(ConfigError, match=f"k={k}"):
             sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
 
 
 @pytest.mark.parametrize("block", [0, -1])
 def test_sim_at_k_rejects_block_below_one(block):
-    with pytest.raises(NumericsError, match=f"block={block} must be at least 1"):
+    with pytest.raises(ConfigError, match=f"block={block} must be at least 1"):
         sim_at_k(np.eye(5, 2) + 1.0, np.zeros(5, dtype=int), 3, block=block)
 
 
