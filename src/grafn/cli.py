@@ -99,6 +99,20 @@ def _load_split(path: str, ds) -> SplitSpec:
     return split
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Raise ConfigError unless `path` can be written as a directory (or a
+    file): the nearest existing directory on the way must be writable, and a
+    file may not replace a directory. Nothing is created."""
+    target = os.path.abspath(path)
+    if not directory and os.path.isdir(target):
+        raise ConfigError(f"cannot write {path}: is a directory")
+    base = target if directory else os.path.dirname(target)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path}: {base} is not a writable directory")
+
+
 def _write_json(path: str, obj: dict) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -261,6 +275,8 @@ def cmd_gradcheck(args) -> int:
 
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if args.size < 8:  # fewer nodes leave the validation set empty
+        raise ConfigError(f"--size must be >= 8, got {args.size}")
     ds = random_dataset(args.size, num_classes=3, num_features=12,
                         p_in=0.3, p_out=0.1, seed=args.seed)
     splits = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)
@@ -392,6 +408,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):  # before any work, so no run ends unwritten
+            _check_out(args.out, directory=args.command in ("convert", "split", "train", "bench"))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

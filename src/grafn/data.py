@@ -5,8 +5,8 @@ The adjacency type and its GCN normalization live in grafn.sparse;
 inference path calls `grafn.data.normalize_adjacency`.
 
 Dataset directory format (text, UTF-8, LF):
-    graph.edges   one "src dst" pair per line, 0-indexed, src < dst, each
-                  undirected edge once
+    graph.edges   one "src dst" pair per line, 0-indexed, src < dst, an
+                  unweighted edge; a repeated line collapses to one edge
     features.tsv  N lines of F tab-separated reals
     labels.txt    N lines, one integer in [0, C)
     meta.json     {"name", "num_nodes", "num_features", "num_classes"}
@@ -30,7 +30,7 @@ from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-expor
 
 @dataclass
 class GraphDataset:
-    adj: SparseAdjacency          # raw symmetric adjacency, no self-loops
+    adj: SparseAdjacency          # raw unweighted adjacency, no self-loops
     features: np.ndarray          # N x F float64
     labels: np.ndarray            # N x C one-hot float64
     class_count: int
@@ -48,22 +48,12 @@ class GraphDataset:
         return np.argmax(self.labels, axis=1)
 
     def validate(self) -> None:
-        n, _ = self.features.shape
-        if self.adj.n != n:
-            raise DataError(f"adjacency size {self.adj.n} != node count {n}")
-        if self.labels.shape != (n, self.class_count):
-            raise DataError(f"label matrix shape {self.labels.shape} unexpected")
-        if not np.allclose(self.labels.sum(axis=1), 1.0):
-            raise DataError("label rows must be one-hot")
+        """Raise DataError at the first non-finite feature."""
         bad = np.argwhere(~np.isfinite(self.features))
         if bad.size:
             node, feature = bad[0]
             raise DataError(f"node {node} feature {feature} is not finite: "
                             f"{self.features[node, feature]}")
-        self.adj.validate()
-        # degrees() leaves out stored diagonal entries
-        if self.adj.degrees().sum() != self.adj.nnz:
-            raise DataError("raw adjacency must not store self-loops")
 
 
 @dataclass

@@ -29,8 +29,8 @@ def random_dataset(
     """Planted-partition graph; features are sparse binary with a per-class
     preferred dimension block activated at `feature_signal` and the rest at
     `feature_noise`."""
-    if n < num_classes:
-        raise DataError(f"need at least {num_classes} nodes, got {n}")
+    if n < max(num_classes, 2):  # a lone node could attach only to itself
+        raise DataError(f"need at least {max(num_classes, 2)} nodes, got n={n}")
     rng = np.random.default_rng(seed)
     classes = np.arange(n) % num_classes
     rng.shuffle(classes)
@@ -61,12 +61,10 @@ def random_dataset(
 
     labels = np.zeros((n, num_classes))
     labels[np.arange(n), classes] = 1.0
-    ds = GraphDataset(
-        adj=SparseAdjacency.from_edges(n, sorted(set(edges))),
+    return GraphDataset(
+        adj=SparseAdjacency.from_edges(n, edges),
         features=features,
         labels=labels,
         class_count=num_classes,
         name=name,
     )
-    ds.validate()
-    return ds

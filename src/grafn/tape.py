@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .sparse import SparseAdjacency
+from .sparse_features import SparseFeatures
 
 CE_FLOOR = 1e-12  # numerical floor inside log() for cross-entropy on probabilities
 
@@ -120,8 +121,6 @@ class Tape:
 
     def matmul(self, a, b) -> Tensor:
         """Dense product a @ b; `a` may be a SparseFeatures constant."""
-        from .sparse_features import SparseFeatures
-
         b = _wrap(b)
         if isinstance(a, SparseFeatures):
             if a.shape[1] != b.data.shape[0]:

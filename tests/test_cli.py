@@ -13,7 +13,7 @@ from grafn import (
     save_checkpoint,
     write_dataset,
 )
-from grafn import trainer
+from grafn import cli, evaluation, trainer
 from grafn.cli import main
 
 
@@ -353,6 +353,8 @@ def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tm
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "4,2"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--boundaries", "2,2"],
     ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--size", "3"],
+    ["gradcheck", "--size", "7"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0", "--out", "{out}"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "-3", "--out", "{out}"],
     ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0"],
@@ -373,6 +375,38 @@ def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "{data}/features.tsv", "{data}/labels.txt", "{file}"],
+    ["split", "{data}", "--rate", "0.1", "--n", "1", "--out", "{file}"],
+    ["train", "{data}", "{split}", "--out", "{file}", *FAST],
+    ["bench", "{data}", "--rate", "0.1", "--n", "2", "--out", "{file}", *FAST],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--out", "{file}/sim.json"],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--out", "{tmp}"],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--out", "{file}/report.json"],
+    ["ablate", "{data}", "--rate", "0.1", "--n", "2", "--out", "{file}/ablate.json", *FAST],
+], ids=["convert", "split", "train", "bench", "simsearch", "simsearch-to-directory",
+        "degree-report", "ablate"])
+def test_unwritable_out_exits_2_before_any_work(data_dir, one_split, trained_dir, tmp_path,
+                                                capsys, monkeypatch, argv):
+    """An output path under a regular file, or a directory where a file goes,
+    is refused before any dataset is read or split trained."""
+    def no_fit(*args):
+        raise AssertionError("fit ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(evaluation, "fit", no_fit)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    slots = dict(data=data_dir, split=one_split, file=str(blocker), tmp=str(tmp_path),
+                 ckpt=os.path.join(trained_dir, "checkpoint.bin"))
+    argv = [arg.format(**slots) for arg in argv]
+    out = argv[3] if argv[0] == "convert" else argv[argv.index("--out") + 1]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 def test_train_nan_divergence_exits_4_with_partial_history(data_dir, one_split, tmp_path,

@@ -53,6 +53,13 @@ def test_load_two_node_toy(tmp_path):
     np.testing.assert_array_equal(ds.adj.csr.toarray(), [[0, 1], [1, 0]])
 
 
+def test_load_collapses_repeated_edge_line(tmp_path):
+    d = write_toy_dir(tmp_path / "toy", [(0, 1), (1, 2), (0, 1)], [[1.0]] * 3, [0, 0, 0])
+    adj = load_dataset(d).adj
+    np.testing.assert_array_equal(adj.csr.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert adj.num_undirected_edges == 2
+
+
 def test_load_reports_malformed_edge_line(tmp_path):
     d = write_toy_dir(tmp_path / "toy", [(0, 1)], [[1.0], [1.0]], [0, 0])
     (tmp_path / "toy" / "graph.edges").write_text("0 1\nbroken\n")
@@ -132,6 +139,13 @@ def test_random_dataset_bytes_are_pinned(kwargs, prefix):
     for a in (ds.adj.csr.indptr, ds.adj.csr.indices, ds.adj.csr.data, ds.features, ds.labels):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("n, num_classes", [(1, 1), (0, 1), (2, 3)])
+def test_random_dataset_rejects_too_few_nodes(n, num_classes):
+    """A lone node could only attach to itself, and the raw graph has no loops."""
+    with pytest.raises(DataError, match=f"need at least {max(num_classes, 2)} nodes, got n={n}$"):
+        random_dataset(n, num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------

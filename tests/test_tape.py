@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ def total(tape, x):
 
 def test_spmm_identity():
     tape = Tape()
-    eye = SparseAdjacency.from_edges(3, [(0, 0), (1, 1), (2, 2)])
+    eye = SparseAdjacency(sp.csr_matrix(np.eye(3)))
     x = np.arange(12, dtype=float).reshape(3, 4)
     out = tape.spmm(eye, x)
     np.testing.assert_array_equal(out.data, x)
@@ -39,7 +40,9 @@ def test_spmm_identity():
 
 def test_spmm_zero_values():
     tape = Tape()
-    adj = SparseAdjacency.from_edges(3, [(0, 1), (1, 2)], values=[0.0, 0.0])
+    # explicit zeros, stored at the entries of the path 0-1-2
+    adj = SparseAdjacency(sp.csr_matrix((np.zeros(4), [1, 0, 2, 1], [0, 1, 3, 4]), shape=(3, 3)))
+    assert adj.nnz == 4
     x = np.ones((3, 2))
     out = tape.spmm(adj, x)
     np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
@@ -59,10 +62,8 @@ def test_spmm_path_graph_matches_dense_oracle():
 @settings(max_examples=30, deadline=None)
 def test_spmm_equals_dense_product(n, seed):
     rng = np.random.default_rng(seed)
-    m = rng.random((n, n)) < 0.2
-    m = np.triu(m, 1)
-    edges = list(zip(*np.nonzero(m)))
-    adj = SparseAdjacency.from_edges(n, edges, values=rng.random(len(edges)))
+    w = np.triu((rng.random((n, n)) < 0.2) * rng.random((n, n)), 1)
+    adj = SparseAdjacency(sp.csr_matrix(w + w.T))  # symmetric, weighted
     x = rng.standard_normal((n, 4))
     out = Tape().spmm(adj, x)
     np.testing.assert_allclose(out.data, adj.csr.toarray() @ x, atol=1e-10)
