@@ -635,6 +635,13 @@ def test_gradcheck_cli(capsys):
     assert "passed" in out
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_smallest_size_passes(capsys, seed):
+    """8 is the least size the entry check admits; it must then run."""
+    assert run(["gradcheck", "--size", "8", "--seed", str(seed)]) == 0
+    assert "gradient check passed" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # environment root
 

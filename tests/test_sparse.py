@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from grafn.sparse import SparseAdjacency, normalize_adjacency
 from tests.conftest import sparse_features
@@ -32,6 +33,15 @@ def test_degrees_exclude_self_loops():
     np.testing.assert_array_equal(adj.degrees(), [1, 2, 1])
     assert adj.num_undirected_edges == 2
     np.testing.assert_array_equal(adj.undirected_edge_list(), [[0, 1], [1, 2]])
+
+
+def test_normalized_star_stores_no_zero_and_bottoms_at_hub_diagonal():
+    """Every renormalized value is at least 1/(max degree + 1) > 0."""
+    n = 6
+    adj = normalize_adjacency(SparseAdjacency.from_edges(n, [(0, i) for i in range(1, n)]))
+    assert adj.nnz == n + 2 * (n - 1)
+    assert adj.csr.data.min() == pytest.approx(1.0 / n)
+    assert adj.csr.data.max() == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
