@@ -17,6 +17,7 @@ Split file: JSON with "seed", "label_rate", "labeled", "val", "test".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -49,9 +50,9 @@ class GraphDataset:
 
     def validate(self) -> None:
         """Raise DataError at the first non-finite feature."""
-        bad = np.argwhere(~np.isfinite(self.features))
-        if bad.size:
-            node, feature = bad[0]
+        finite = np.isfinite(self.features)
+        if not finite.all():
+            node, feature = np.argwhere(~finite)[0]
             raise DataError(f"node {node} feature {feature} is not finite: "
                             f"{self.features[node, feature]}")
 
@@ -129,9 +130,26 @@ def _read_text(path: str) -> str:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
+def _int(text: str) -> int:
+    """int() of ASCII sign and digits: like numpy's reader in features.tsv, it
+    rejects the digit-grouping '1_0' and non-ASCII digits that int() takes."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _read_features(path: str, n: int, f: int) -> np.ndarray:
-    """One pass checks the row and column counts, numpy's reader parses the rows
-    before the first structural fault; the first fault in file order is raised."""
+    """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings is read
+    from its bytes, 4 per cell. Any other file goes to the text path: one pass
+    checks the row and column counts, numpy's reader parses the rows before the
+    first structural fault, and the first fault in file order is raised."""
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        raw = fh.read()
+        if len(raw) == 4 * n * f:
+            cells = np.frombuffer(raw, "<u4").reshape(n, f)  # first byte lowest
+            ones = np.frombuffer(b"1.0\t" * (f - 1) + b"1.0\n", "<u4")
+            if ((cells | 1) == ones).all():  # a byte b has b | 1 == '1' only for '0', '1'
+                return (cells & 1).astype(np.float64)
     text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
     fault = None
@@ -193,7 +211,7 @@ def load_dataset(directory: str) -> GraphDataset:
         if count >= n:
             raise DataError(f"{labels_path}: more than {n} label lines")
         try:
-            val = int(line)
+            val = _int(line)
         except ValueError as exc:
             raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
         if not 0 <= val < c:
@@ -215,7 +233,7 @@ def load_dataset(directory: str) -> GraphDataset:
         if len(parts) != 2:
             raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            src, dst = _int(parts[0]), _int(parts[1])
         except ValueError as exc:
             raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
         for node in (src, dst):

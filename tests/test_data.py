@@ -115,6 +115,41 @@ def test_load_rejects_non_finite_feature(tmp_path, value):
         load_dataset(d)
 
 
+@pytest.mark.parametrize("name, text, token", [
+    ("labels.txt", "0\n1_0\n", "1_0"),          # digit grouping, class 10 to int()
+    ("labels.txt", "0\n\u0661\n", "\u0661"),    # Arabic-Indic one, class 1 to int()
+    ("graph.edges", "0 1\n0 1_1\n", "1_1"),      # edge (0, 11) to int()
+    ("graph.edges", "0 1\n\u0660 2\n", "\u0660"),  # edge (0, 2) to int()
+])
+def test_load_rejects_integers_only_int_takes(tmp_path, name, text, token):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0]] * 12, list(range(12)))
+    (tmp_path / "toy" / name).write_text(text, encoding="utf-8")
+    message = f"{name}:2: invalid literal for int() with base 10: {token!r}"
+    with pytest.raises(DataError, match=rf"/{re.escape(message)}$"):
+        load_dataset(d)
+
+
+def test_binary_features_are_read_without_numpys_reader(tmp_path, monkeypatch):
+    ds = random_dataset(**SYNTH_KW)  # 0.0/1.0 features
+    write_dataset(ds, str(tmp_path / "written"))
+    (tmp_path / "x.content").write_text("a 1 0 ml\nb 0 1 db\nc 1 1 ml\n")
+    (tmp_path / "x.cites").write_text("a b\n")
+    convert_content_cites(str(tmp_path / "x.content"), str(tmp_path / "x.cites"),
+                          str(tmp_path / "converted"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert load_dataset(str(tmp_path / "written")).features.tobytes() == ds.features.tobytes()
+    converted = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert load_dataset(str(tmp_path / "converted")).features.tobytes() == converted.tobytes()
+    tsv = tmp_path / "written" / "features.tsv"
+    tsv.write_text("0.5" + tsv.read_text()[3:])  # same size, one cell not 0/1
+    with pytest.raises(AssertionError, match="np.loadtxt called"):
+        load_dataset(str(tmp_path / "written"))
+
+
 def test_write_load_roundtrip_is_identity(tmp_path):
     ds = random_dataset(25, num_classes=3, num_features=6, seed=5)
     ds.features[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # signed zero, subnormal, 17 digits

@@ -4,7 +4,8 @@
 cell, kept as an exact oracle. Files it accepts must load to the same bytes;
 files it rejects must give the same message. The one intended difference,
 cells that float() takes but numpy's reader does not ('1_0', non-ASCII
-digits), has its own test.
+digits), has its own test. Files of '0.0'/'1.0' cells, which the loader reads
+from their bytes, and near misses of them are drawn too.
 """
 
 import re
@@ -49,6 +50,8 @@ def outcome(read, path, n, f):
         x = read(path, n, f)
     except DataError as exc:
         return ("error", str(exc))
+    except UnicodeDecodeError as exc:  # the reference's open(); loaders name the file
+        return ("error", f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     return ("ok", x.dtype.str, x.shape, x.tobytes())
 
 
@@ -76,11 +79,37 @@ def cell(draw):
     return draw(PADDING) + draw(NUMBERS) + draw(PADDING)
 
 
+# cells a byte away from '0.0'/'1.0'; '\udcff' is written as the byte ff
+NEAR_MISSES = ["1.00", "-0.0", "0.5", " 1.0", "1.0 ", "2.0", "\udcff.0", "1.0\udcff"]
+
+
+@st.composite
+def binary_file(draw, n, f):
+    """n rows of f '0.0'/'1.0' cells with LF endings, the bytes the fast path
+    reads, and sometimes one near miss: a cell, CRLF or CR endings, no final
+    newline, a blank line or a row too many."""
+    miss = draw(st.sampled_from(["none", "cell", "\r\n", "\r", "no final newline", "blank",
+                                 "extra row"]))
+    rows = [[draw(st.sampled_from(["0.0", "1.0"])) for _ in range(f)]
+            for _ in range(n + (miss == "extra row"))]
+    if miss == "cell":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, f - 1))] = draw(
+            st.sampled_from(NEAR_MISSES))
+    lines = ["\t".join(row) for row in rows]
+    if miss == "blank":
+        lines.insert(draw(st.integers(0, n)), "")
+    newline = miss if miss in ("\r\n", "\r") else "\n"
+    return newline.join(lines) + ("" if miss == "no final newline" else newline)
+
+
 @st.composite
 def features_file(draw):
     """(text, n, f): rows of f cells, sometimes a row too long or too short,
-    blank lines, LF/CRLF/CR endings and an optional final newline."""
+    blank lines, LF/CRLF/CR endings and an optional final newline; or, one
+    time in four, a 0.0/1.0 file or a near miss of one."""
     n, f = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(binary_file(n, f)), n, f
     rows = []
     for _ in range(n if draw(st.booleans()) else draw(st.integers(0, n + 2))):
         width = f if draw(st.integers(0, 19)) else draw(st.integers(1, f + 2))
@@ -108,6 +137,8 @@ CASES = {
     "bad cell before bad column count": ("1\t2\nx\t2\n1\t2\t3\n", 3, 2),
     "bad column count before bad cell": ("1\t2\n1\t2\t3\nx\t2\n", 3, 2),
     "bad cell before surplus row": ("1\nx\n2\n", 1, 1),
+    "0.0/1.0 cells": ("1.0\t0.0\t0.0\n0.0\t0.0\t1.0\n", 2, 3),
+    "0.0/1.0 cells, rows of F+1 and F-1": ("1.0\t0.0\t0.0\n0.0\n", 2, 2),
 }
 
 
@@ -121,7 +152,7 @@ def workdir(tmp_path_factory):
 def test_read_features_matches_reference(workdir, case):
     text, n, f = case
     path = workdir / "features.tsv"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
     assert outcome(_read_features, str(path), n, f) == outcome(ref_read_features, str(path), n, f)
 
 
