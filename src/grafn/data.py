@@ -140,16 +140,18 @@ def _int(text: str) -> int:
 
 def _read_features(path: str, n: int, f: int) -> np.ndarray:
     """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings is read
-    from its bytes, 4 per cell. Any other file goes to the text path: one pass
-    checks the row and column counts, numpy's reader parses the rows before the
-    first structural fault, and the first fault in file order is raised."""
+    from its bytes, 4 per cell, with no full-size temporary. Any other file
+    goes to the text path: one pass checks the row and column counts, numpy's
+    reader parses the rows before the first structural fault, and the first
+    fault in file order is raised."""
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         raw = fh.read()
         if len(raw) == 4 * n * f:
             cells = np.frombuffer(raw, "<u4").reshape(n, f)  # first byte lowest
             ones = np.frombuffer(b"1.0\t" * (f - 1) + b"1.0\n", "<u4")
-            if ((cells | 1) == ones).all():  # a byte b has b | 1 == '1' only for '0', '1'
-                return (cells & 1).astype(np.float64)
+            block = 2**18 // f + 1  # rows of about 1 MiB; b | 1 == '1' only for '0', '1'
+            if all(((cells[i:i + block] | 1) == ones).all() for i in range(0, n, block)):
+                return np.bitwise_and(cells, 1, out=np.empty((n, f)))  # cast as it goes
     text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
     fault = None
@@ -269,10 +271,17 @@ def write_dataset(ds: GraphDataset, directory: str, extra_meta: dict | None = No
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(directory, "features.tsv"), "w", encoding="utf-8") as fh:
-        for row in ds.features:
-            fh.write("\t".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    bits = np.ascontiguousarray(ds.features, dtype=np.float64).view(np.uint64)
+    ones = bits == np.float64(1.0).view(np.uint64)
+    with open(os.path.join(directory, "features.tsv"), "wb") as fh:
+        if (ones | (bits == 0)).all():  # +0.0 and 1.0 only: the byte path of _read_features
+            # each cell is repr(float(v)) and a tab, or LF at a row's end; '1' is '0' | 1
+            cells = ones.astype("<u4")
+            cells |= np.frombuffer(b"0.0\t" * (ds.num_features - 1) + b"0.0\n", "<u4")
+            fh.write(cells)
+        else:
+            for row in ds.features:
+                fh.write(("\t".join(repr(float(v)) for v in row) + "\n").encode())
     label_ids = ds.label_ids()
     with open(os.path.join(directory, "labels.txt"), "w", encoding="utf-8") as fh:
         for v in label_ids:

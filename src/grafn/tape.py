@@ -9,12 +9,18 @@ Conventions:
   - all data is float64; scalars are 0-d arrays;
   - ReLU uses subgradient 0 at exactly 0;
   - detach() cuts gradient flow (stop-gradient boundary);
-  - ops never mutate input arrays, so aliasing values is safe.
+  - ops never mutate input arrays, so aliasing values is safe;
+  - a backward closure holds only the arrays its formula reads and the
+    gradient slots of the inputs that carry one, and a record its output's
+    slot, so a value dies once its caller drops it;
+  - backward consumes the step: it drops each record and each gradient it
+    has passed on.
 """
 
 from __future__ import annotations
 
 import weakref
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -29,15 +35,23 @@ CE_FLOOR = 1e-12  # numerical floor inside log() for cross-entropy on probabilit
 class Tensor:
     """A value on the tape: float64 ndarray plus a gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_origin")
+    __slots__ = ("data", "requires_grad", "_slot", "_origin")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        # (weakref to tape, step) for op outputs, None for leaves; a strong ref
-        # would form a cycle with the tape's records that only the GC frees
+        self._slot = SimpleNamespace(grad=None)
+        # (weakref to tape, step) for op outputs, None for leaves; an output
+        # does not keep its tape alive
         self._origin = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._slot.grad = g
 
     @property
     def shape(self):
@@ -50,10 +64,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
+def _accumulate(slot, g: np.ndarray) -> None:
+    if slot is not None:
+        slot.grad = g if slot.grad is None else slot.grad + g
+
+
+def _slot_of(t: Tensor):
+    """`t`'s gradient slot, or None when `t` carries no gradient."""
+    return t._slot if t.requires_grad else None
 
 
 def _wrap(x) -> Tensor:
@@ -64,7 +82,7 @@ class Tape:
     """Operation recorder and parameter registry for one training run."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[SimpleNamespace, Callable[[np.ndarray], None]]] = []
         self._step = 0
         self.parameters: dict[str, Tensor] = {}
 
@@ -88,11 +106,12 @@ class Tape:
         if any(t.requires_grad for t in inputs):
             out.requires_grad = True
             out._origin = (weakref.ref(self), self._step)
-            self._records.append((out, backprop))
+            self._records.append((out._slot, backprop))
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every registered parameter.
+        """Populate .grad on every registered parameter, then end the step,
+        so the same loss cannot be backpropagated twice.
 
         Gradients of previous steps are cleared first; parameters that the
         loss does not reach end up with zero gradients.
@@ -101,14 +120,15 @@ class Tape:
             loss._origin[0]() is not self or loss._origin[1] != self._step
         ):
             raise NumericsError("loss was not produced on this tape's current step")
-        for out, _ in self._records:
-            out.grad = None
         for p in self.parameters.values():
             p.grad = None
         loss.grad = np.ones_like(loss.data)
-        for out, backprop in reversed(self._records):
-            if out.grad is not None:
-                backprop(out.grad)
+        while self._records:
+            slot, backprop = self._records.pop()
+            g, slot.grad = slot.grad, None
+            if g is not None:
+                backprop(g)
+        self._step += 1
         for p in self.parameters.values():
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
@@ -127,27 +147,27 @@ class Tape:
                 raise NumericsError(
                     f"matmul shape mismatch: {a.shape} @ {b.data.shape}"
                 )
-            out_data = a.matmul(b.data)
 
-            def backprop(g, a=a, b=b):
-                _accumulate(b, a.grad_right(g))
+            def backprop(g, a=a, gb=b._slot):
+                _accumulate(gb, a.grad_right(g))
 
-            return self._emit(out_data, (b,), backprop)
+            return self._emit(a.matmul(b.data), (b,), backprop)
 
         a = _wrap(a)
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise NumericsError(
                 f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
             )
-        out_data = a.data @ b.data
+        ga, gb = _slot_of(a), _slot_of(b)
 
-        def backprop(g, a=a, b=b):  # _accumulate would drop a constant's product
-            if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
+        def backprop(g, ga=ga, gb=gb, bt=b.data.T if ga else None,
+                     at=a.data.T if gb else None):
+            if ga:
+                _accumulate(ga, g @ bt)
+            if gb:
+                _accumulate(gb, at @ g)
 
-        return self._emit(out_data, (a, b), backprop)
+        return self._emit(a.data @ b.data, (a, b), backprop)
 
     def spmm(self, adj: SparseAdjacency, x) -> Tensor:
         """Sparse @ dense; differentiable w.r.t. the dense side only. Backward uses
@@ -158,41 +178,41 @@ class Tape:
                 f"spmm shape mismatch: sparse ({adj.n},{adj.n}) @ dense {x.data.shape}"
             )
         mat = adj.csr
-        out_data = mat @ x.data
 
-        def backprop(g, mat=mat, x=x):
-            _accumulate(x, mat @ g)
+        def backprop(g, mat=mat, gx=x._slot):
+            _accumulate(gx, mat @ g)
 
-        return self._emit(out_data, (x,), backprop)
+        return self._emit(mat @ x.data, (x,), backprop)
 
     def relu(self, x) -> Tensor:
         x = _wrap(x)
-        out_data = np.maximum(x.data, 0.0)
 
-        def backprop(g, x=x):
-            _accumulate(x, g * (x.data > 0.0))
+        def backprop(g, gx=x._slot, live=x.data > 0.0 if x.requires_grad else None):
+            _accumulate(gx, g * live)
 
-        return self._emit(out_data, (x,), backprop)
+        return self._emit(np.maximum(x.data, 0.0), (x,), backprop)
 
     def dropout(self, x, p: float, rng: np.random.Generator) -> Tensor:
         x = _wrap(x)
         if p == 0.0:
             return x
         scale = (rng.random(x.data.shape) >= p) / (1.0 - p)
-        out_data = x.data * scale
 
-        def backprop(g, x=x, scale=scale):
-            _accumulate(x, g * scale)
+        def backprop(g, gx=x._slot, scale=scale):
+            _accumulate(gx, g * scale)
 
-        return self._emit(out_data, (x,), backprop)
+        return self._emit(x.data * scale, (x,), backprop)
 
     def row_dot(self, x, y) -> Tensor:
         """Per-row inner product; returns a length-N vector."""
         x, y = _wrap(x), _wrap(y)
+        gx, gy = _slot_of(x), _slot_of(y)
 
-        def backprop(g, x=x, y=y):
-            _accumulate(x, g[:, None] * y.data)
-            _accumulate(y, g[:, None] * x.data)
+        def backprop(g, gx=gx, gy=gy, xd=x.data if gy else None, yd=y.data if gx else None):
+            if gx:
+                _accumulate(gx, g[:, None] * yd)
+            if gy:
+                _accumulate(gy, g[:, None] * xd)
 
         return self._emit(np.einsum("ij,ij->i", x.data, y.data), (x, y), backprop)
 
@@ -205,32 +225,30 @@ class Tape:
         safe = np.where(norms > 0.0, norms, 1.0)
         u = x.data / safe
 
-        def backprop(g, x=x, safe=safe, u=u, live=live):
-            gx = (g - np.sum(g * u, axis=1, keepdims=True) * u) / safe
-            _accumulate(x, gx * live[:, None])
+        def backprop(g, gx=x._slot, safe=safe, u=u, live=live):
+            _accumulate(gx, (g - np.sum(g * u, axis=1, keepdims=True) * u) / safe
+                        * live[:, None])
 
         return self._emit(u, (x,), backprop)
 
     def transpose(self, x) -> Tensor:
         x = _wrap(x)
-        out_data = np.ascontiguousarray(x.data.T)
 
-        def backprop(g, x=x):
-            _accumulate(x, g.T)
+        def backprop(g, gx=x._slot):
+            _accumulate(gx, g.T)
 
-        return self._emit(out_data, (x,), backprop)
+        return self._emit(np.ascontiguousarray(x.data.T), (x,), backprop)
 
     def gather_rows(self, x, idx) -> Tensor:
         x = _wrap(x)
         idx = np.asarray(idx, dtype=np.int64)
-        out_data = x.data[idx]
 
-        def backprop(g, x=x, idx=idx):
-            buf = np.zeros_like(x.data)
+        def backprop(g, gx=x._slot, shape=x.data.shape, idx=idx):
+            buf = np.zeros(shape)
             np.add.at(buf, idx, g)
-            _accumulate(x, buf)
+            _accumulate(gx, buf)
 
-        return self._emit(out_data, (x,), backprop)
+        return self._emit(x.data[idx], (x,), backprop)
 
     def softmax_rows(self, x) -> Tensor:
         x = _wrap(x)
@@ -238,25 +256,25 @@ class Tape:
         e = np.exp(shifted)
         s = e / e.sum(axis=1, keepdims=True)
 
-        def backprop(g, x=x, s=s):
-            _accumulate(x, s * (g - np.sum(g * s, axis=1, keepdims=True)))
+        def backprop(g, gx=x._slot, s=s):
+            _accumulate(gx, s * (g - np.sum(g * s, axis=1, keepdims=True)))
 
         return self._emit(s, (x,), backprop)
 
     def scale(self, x, c: float) -> Tensor:
         x = _wrap(x)
 
-        def backprop(g, x=x, c=c):
-            _accumulate(x, g * c)
+        def backprop(g, gx=x._slot, c=c):
+            _accumulate(gx, g * c)
 
         return self._emit(x.data * c, (x,), backprop)
 
     def add(self, a, b) -> Tensor:
         a, b = _wrap(a), _wrap(b)
 
-        def backprop(g, a=a, b=b):
-            _accumulate(a, g)
-            _accumulate(b, g)
+        def backprop(g, ga=_slot_of(a), gb=_slot_of(b)):
+            _accumulate(ga, g)
+            _accumulate(gb, g)
 
         return self._emit(a.data + b.data, (a, b), backprop)
 
@@ -264,18 +282,18 @@ class Tape:
         """x + row-broadcast bias of shape (1, C)."""
         x, b = _wrap(x), _wrap(b)
 
-        def backprop(g, x=x, b=b):
-            _accumulate(x, g)
-            _accumulate(b, g.sum(axis=0, keepdims=True))
+        def backprop(g, gx=_slot_of(x), gb=_slot_of(b)):
+            _accumulate(gx, g)
+            if gb:
+                _accumulate(gb, g.sum(axis=0, keepdims=True))
 
         return self._emit(x.data + b.data, (x, b), backprop)
 
     def mean(self, x) -> Tensor:
         x = _wrap(x)
-        n = x.data.size
 
-        def backprop(g, x=x, n=n):
-            _accumulate(x, np.full_like(x.data, float(g) / n))
+        def backprop(g, gx=x._slot, shape=x.data.shape, n=x.data.size):
+            _accumulate(gx, np.full(shape, float(g) / n))
 
         return self._emit(np.asarray(x.data.mean()), (x,), backprop)
 
@@ -286,16 +304,19 @@ class Tape:
         (the target side only does when stop-gradient is deliberately off).
         """
         target, pred = _wrap(target), _wrap(pred)
+        gt, gp = _slot_of(target), _slot_of(pred)
         m = target.data.shape[0]
         clipped = np.maximum(pred.data, CE_FLOOR)
         logs = np.log(clipped)
         out = np.asarray(-(target.data * logs).sum() / m)
 
-        def backprop(g, target=target, pred=pred, logs=logs, clipped=clipped, m=m):
+        def backprop(g, gt=gt, gp=gp, m=m, t=target.data if gp else None,
+                     clipped=clipped if gp else None, logs=logs if gt else None):
             gm = float(g) / m
-            live = pred.data > CE_FLOOR
-            _accumulate(pred, -gm * target.data * live / clipped)
-            _accumulate(target, -gm * logs)
+            if gp:  # p > floor exactly where max(p, floor) > floor
+                _accumulate(gp, -gm * t * (clipped > CE_FLOOR) / clipped)
+            if gt:
+                _accumulate(gt, -gm * logs)
 
         return self._emit(out, (target, pred), backprop)
 
@@ -309,7 +330,7 @@ class Tape:
         log_probs = shifted - lse
         out = np.asarray(-(y * log_probs).sum() / m)
 
-        def backprop(g, logits=logits, y=y, log_probs=log_probs, m=m):
-            _accumulate(logits, float(g) / m * (np.exp(log_probs) - y))
+        def backprop(g, gx=logits._slot, y=y, log_probs=log_probs, m=m):
+            _accumulate(gx, float(g) / m * (np.exp(log_probs) - y))
 
         return self._emit(out, (logits,), backprop)

@@ -128,10 +128,10 @@ def build_step_loss(
                               rng)
     adj_s, x_s = augment_view(ds.adj, features, cfg.strong_feature_mask, cfg.strong_edge_drop,
                               rng)
-    z_w = encoder.encode(tape, adj_w, x_w, training=True, rng=rng)
+    # z_w is not kept: normalize_rows' backward does not read it
+    u_w = tape.normalize_rows(encoder.encode(tape, adj_w, x_w, training=True, rng=rng))
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
-
-    u_s, u_w = tape.normalize_rows(z_s), tape.normalize_rows(z_w)
+    u_s = tape.normalize_rows(z_s)
     l_nc = node_consistency_loss(tape, u_s, u_w)
 
     support = sample_support(split, label_ids, ds.class_count, rng)

@@ -6,6 +6,9 @@ files it rejects must give the same message. The one intended difference,
 cells that float() takes but numpy's reader does not ('1_0', non-ASCII
 digits), has its own test. Files of '0.0'/'1.0' cells, which the loader reads
 from their bytes, and near misses of them are drawn too.
+
+`ref_write_features` is the former per-cell writer of `write_dataset`, kept
+as the oracle of its byte path for +0.0/1.0 matrices.
 """
 
 import re
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import DataError
-from grafn.data import _read_features
+from grafn.data import _read_features, write_dataset
+from tests.conftest import make_dataset
 
 
 def ref_read_features(feat_path, n, f):
@@ -42,6 +46,13 @@ def ref_read_features(feat_path, n, f):
     if count != n:
         raise DataError(f"{feat_path}: expected {n} rows, got {count}")
     return features
+
+
+def ref_write_features(features, feat_path):
+    with open(feat_path, "w", encoding="utf-8") as fh:
+        for row in features:
+            fh.write("\t".join(repr(float(v)) for v in row))
+            fh.write("\n")
 
 
 def outcome(read, path, n, f):
@@ -184,3 +195,39 @@ def test_cells_only_float_takes_are_rejected(tmp_path, value):
     message = f"{path}:2: could not convert string '{value}' to float64 at column 2."
     with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
         _read_features(str(path), 2, 2)
+
+
+@pytest.mark.parametrize("last_cell", ["1.0", "2.0"])
+def test_binary_file_over_several_check_blocks(tmp_path, last_cell):
+    """Rows of 2**16 cells are checked 5 at a time, so a sixth row is a
+    second block, and a near miss there still reaches the text path."""
+    n, f = 6, 2**16
+    text = ("0.0\t1.0\t" * (f // 2))[:-1] + "\n"
+    text = text * (n - 1) + text[:-4] + last_cell + "\n"
+    path = tmp_path / "features.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(_read_features, str(path), n, f) == outcome(ref_read_features, str(path), n, f)
+
+
+@st.composite
+def binary_matrix(draw):
+    """An n x f matrix of +0.0 and 1.0, or, half the time, one that holds
+    another value in one cell: -0.0 and values a bit away from 0 or 1."""
+    n, f = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * f,
+                               max_size=n * f))).reshape(n, f)
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1)), draw(st.integers(0, f - 1))] = draw(st.sampled_from(
+            [-0.0, -1.0, 0.5, 2.0, 3.0, 1.0000000000000002, 5e-324, np.inf, np.nan]))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=binary_matrix())
+def test_write_dataset_matches_per_cell_writer(workdir, x):
+    n, f = x.shape
+    write_dataset(make_dataset(n, [], [0] * n, 1, features=x), str(workdir / "written"))
+    written = workdir / "written" / "features.tsv"
+    ref_write_features(x, workdir / "reference.tsv")
+    assert written.read_bytes() == (workdir / "reference.tsv").read_bytes()
+    assert _read_features(str(written), n, f).tobytes() == x.tobytes()

@@ -185,6 +185,17 @@ def test_backward_rejects_stale_graph():
         tape.backward(loss)
 
 
+def test_backward_consumes_its_step():
+    tape = Tape()
+    w = tape.parameter(np.ones((2, 2)), "w")
+    loss = total(tape, tape.relu(w))
+    tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+    assert tape._records == [] and loss.grad is None
+    with pytest.raises(NumericsError, match="not produced on this tape"):
+        tape.backward(loss)
+
+
 def test_backward_rejects_loss_from_another_tape():
     other = Tape()
     loss = total(other, other.parameter(np.ones((2, 2)), "w"))

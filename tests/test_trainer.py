@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +273,114 @@ def test_every_tape_kernel_is_in_use(tiny_setup, monkeypatch):
         predict(encoder, head, normalize_adjacency(ds.adj), ds.features,
                 small_cfg(snn_inference=snn_inference), split.labeled, ds.label_ids())
     assert {name for name, n in calls.items() if n == 0} == set()
+
+
+# ---------------------------------------------------------------------------
+# what a step holds
+
+
+def sparse_step_setup(n=60, hidden=8, seed=4):
+    """A CSR-featured graph (about 3.6% nonzero), its split, and a fresh
+    tape with initialized parameters."""
+    ds = random_dataset(n, num_classes=3, num_features=200, p_in=0.06, p_out=0.01,
+                        feature_signal=0.1, feature_noise=0.005, seed=seed)
+    split = generate_splits(ds, 0.1, 1, 0)[0]
+    cfg = small_cfg(hidden_dim=hidden, embed_dim=hidden, dropout=0.5)
+    tape = Tape()
+    encoder, head = init_params(tape, ds.num_features, hidden, hidden, ds.class_count,
+                                cfg.dropout, np.random.default_rng(0))
+    features, unlabeled = step_inputs(ds, split)
+    assert isinstance(features, SparseFeatures)
+    return ds, split, cfg, tape, encoder, head, features, unlabeled
+
+
+@pytest.fixture()
+def no_cyclic_gc():
+    """Values must be freed by reference counting alone."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def record_outputs(monkeypatch):
+    """Every output `Tape._emit` makes, as (kernel name, weakref to its data,
+    its gradient slot, the indices of the earlier outputs alive when it was
+    made), in emission order."""
+    emitted = []
+    emit = Tape._emit
+
+    def recording(self, out_data, inputs, backprop):
+        alive = {i for i, (_, ref, _, _) in enumerate(emitted) if ref() is not None}
+        out = emit(self, out_data, inputs, backprop)
+        emitted.append((backprop.__qualname__.split(".")[1], weakref.ref(out.data),
+                        out._slot, alive))
+        return out
+
+    monkeypatch.setattr(Tape, "_emit", recording)
+    return emitted
+
+
+@pytest.mark.parametrize("sparse_input", [False, True])
+def test_training_encode_frees_what_backward_does_not_read(monkeypatch, no_cyclic_gc,
+                                                           sparse_input):
+    """X.W1, A.(X.W1), the ReLU output and H.W2 die inside the encode: the
+    closures keep the ReLU mask and the dropped H, not the tensors."""
+    ds, _, _, tape, encoder, _, features, _ = sparse_step_setup()
+    x = features if sparse_input else ds.features
+    emitted = record_outputs(monkeypatch)
+    z = encoder.encode(tape, normalize_adjacency(ds.adj), x, training=True,
+                       rng=np.random.default_rng(1))
+    layers = emitted[-6:]
+    assert [kind for kind, _, _, _ in layers] == ["matmul", "spmm", "relu", "dropout",
+                                                  "matmul", "spmm"]
+    assert [ref() is not None for _, ref, _, _ in layers] == [False, False, False, True,
+                                                              False, True]
+    assert layers[-1][1]() is z.data
+
+
+def test_backward_leaves_no_recorded_output_or_gradient(monkeypatch, no_cyclic_gc):
+    """The weak view's embedding is gone before the strong view is encoded;
+    after backward, only the loss and the parameter gradients are left."""
+    ds, split, cfg, tape, encoder, head, features, unlabeled = sparse_step_setup()
+    emitted = record_outputs(monkeypatch)
+    total, _ = build_step_loss(tape, ds, split, encoder, head, cfg, np.random.default_rng(1),
+                               features, unlabeled)
+    # outputs 0-5 encode the weak view, 6 is u_w, 7-12 encode the strong view
+    assert [emitted[i][0] for i in (5, 6, 7)] == ["spmm", "normalize_rows", "matmul"]
+    assert 5 not in emitted[7][3]
+    tape.backward(total)
+    assert tape._records == []
+    assert [ref() for _, ref, _, _ in emitted if ref() is not None] == [total.data]
+    assert all(slot.grad is None for _, _, slot, _ in emitted)
+    assert all(p.grad.shape == p.data.shape for p in tape.parameters.values())
+
+
+def test_train_step_traced_peak_is_bounded():
+    """One warmed-up step on a 1500-node CSR graph holds at most 16 N x H
+    float64 arrays at once (about 12 in practice: the dropout scales, the
+    dropped hidden layers, the unit-row embeddings of both views, and the
+    gradients in flight). A tape that kept every output and its gradient
+    until the next step peaked at about 37."""
+    n, hidden = 1500, 64
+    ds = random_dataset(n, num_classes=4, num_features=400, p_in=0.01, p_out=0.001,
+                        feature_signal=0.1, feature_noise=0.01, seed=5)
+    split = generate_splits(ds, 0.02, 1, 0)[0]
+    cfg = small_cfg(hidden_dim=hidden, embed_dim=hidden, dropout=0.5)
+    tape = Tape()
+    rng = np.random.default_rng(1)
+    encoder, head = init_params(tape, ds.num_features, hidden, hidden, ds.class_count,
+                                cfg.dropout, rng)
+    adam = AdamState(tape.parameters)
+    features, unlabeled = step_inputs(ds, split)
+    assert isinstance(features, SparseFeatures)
+    train_step(tape, ds, split, encoder, head, cfg, adam, rng, 1, features, unlabeled)
+    tracemalloc.start()
+    try:
+        train_step(tape, ds, split, encoder, head, cfg, adam, rng, 2, features, unlabeled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * hidden * 8) < 16
 
 
 # ---------------------------------------------------------------------------
