@@ -21,6 +21,7 @@ import contextlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +139,20 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _read_features(path: str, n: int, f: int) -> np.ndarray:
-    """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings is read
-    from its bytes, 4 per cell, with no full-size temporary. Any other file
-    goes to the text path: one pass checks the row and column counts, numpy's
-    reader parses the rows before the first structural fault, and the first
-    fault in file order is raised."""
+def _int_array(path: str, per_line: int) -> np.ndarray | None:
+    """The (lines, per_line) int64 array of a file in canonical form: lines of
+    `per_line` runs of 1-18 ASCII digits joined by single spaces, each line
+    ended by LF; None for any other file, which the per-line reader takes."""
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        raw = fh.read()
+        if re.fullmatch(rb"(?:[0-9]{1,18}" + rb" [0-9]{1,18}" * (per_line - 1) + rb"\n)*", raw):
+            return np.fromstring(raw, np.int64, sep=" ").reshape(-1, per_line)
+    return None
+
+
+def _read_binary_features(path: str, n: int, f: int) -> np.ndarray | None:
+    """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings, read from
+    its bytes, 4 per cell, with no full-size temporary; None for any other file."""
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         raw = fh.read()
         if len(raw) == 4 * n * f:
@@ -152,6 +161,19 @@ def _read_features(path: str, n: int, f: int) -> np.ndarray:
             block = 2**18 // f + 1  # rows of about 1 MiB; b | 1 == '1' only for '0', '1'
             if all(((cells[i:i + block] | 1) == ones).all() for i in range(0, n, block)):
                 return np.bitwise_and(cells, 1, out=np.empty((n, f)))  # cast as it goes
+    return None
+
+
+def _read_features(path: str, n: int, f: int) -> np.ndarray:
+    """`_read_binary_features`, else `_read_text_features`."""
+    binary = _read_binary_features(path, n, f)
+    return _read_text_features(path, n, f) if binary is None else binary
+
+
+def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
+    """One pass checks the row and column counts, numpy's reader parses the
+    rows before the first structural fault, and the first fault in file order
+    is raised."""
     text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
     fault = None
@@ -201,60 +223,61 @@ def load_dataset(directory: str) -> GraphDataset:
     if min(n, f, c) <= 0:
         raise DataError(f"{meta_path}: N, F, C must be positive")
 
-    features = _read_features(os.path.join(directory, "features.tsv"), n, f)
+    features_path = os.path.join(directory, "features.tsv")
+    binary = _read_binary_features(features_path, n, f)  # 0.0 and 1.0: no finite scan
+    features = _read_text_features(features_path, n, f) if binary is None else binary
 
     labels_path = os.path.join(directory, "labels.txt")
-    label_ids = np.zeros(n, dtype=np.int64)
-    count = 0
-    for lineno, line in enumerate(_read_text(labels_path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if count >= n:
-            raise DataError(f"{labels_path}: more than {n} label lines")
-        try:
-            val = _int(line)
-        except ValueError as exc:
-            raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
-        if not 0 <= val < c:
-            raise DataError(
-                f"{labels_path}:{lineno}: label {val} out of range [0,{c})"
-            )
-        label_ids[count] = val
-        count += 1
-    if count != n:
-        raise DataError(f"{labels_path}: expected {n} labels, got {count}")
+    label_ids = _int_array(labels_path, 1)
+    if label_ids is None or len(label_ids) != n or label_ids.max() >= c:  # walk to the fault
+        label_ids = []
+        for lineno, line in enumerate(_read_text(labels_path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if len(label_ids) == n:
+                raise DataError(f"{labels_path}: more than {n} label lines")
+            try:
+                val = _int(line)
+            except ValueError as exc:
+                raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
+            if not 0 <= val < c:
+                raise DataError(f"{labels_path}:{lineno}: label {val} out of range [0,{c})")
+            label_ids.append(val)
+        if len(label_ids) != n:
+            raise DataError(f"{labels_path}: expected {n} labels, got {len(label_ids)}")
 
     edges_path = os.path.join(directory, "graph.edges")
-    edges = []
-    for lineno, line in enumerate(_read_text(edges_path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
-        try:
-            src, dst = _int(parts[0]), _int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
-        for node in (src, dst):
-            if not 0 <= node < n:
-                raise DataError(
-                    f"{edges_path}:{lineno}: node {node} out of range [0,{n})"
-                )
-        if src == dst:
-            raise DataError(f"{edges_path}:{lineno}: self-loop {src}")
-        if src > dst:
-            raise DataError(f"{edges_path}:{lineno}: src must be < dst")
-        edges.append((src, dst))
+    edges = _int_array(edges_path, 2)
+    if edges is None or not ((edges[:, 1] < n) & (edges[:, 0] < edges[:, 1])).all():
+        edges = []
+        for lineno, line in enumerate(_read_text(edges_path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
+            try:
+                src, dst = _int(parts[0]), _int(parts[1])
+            except ValueError as exc:
+                raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
+            for node in (src, dst):
+                if not 0 <= node < n:
+                    raise DataError(f"{edges_path}:{lineno}: node {node} out of range [0,{n})")
+            if src == dst:
+                raise DataError(f"{edges_path}:{lineno}: self-loop {src}")
+            if src > dst:
+                raise DataError(f"{edges_path}:{lineno}: src must be < dst")
+            edges.append((src, dst))
 
     adj = SparseAdjacency.from_edges(n, edges)
     labels = np.zeros((n, c), dtype=np.float64)
-    labels[np.arange(n), label_ids] = 1.0
+    labels[np.arange(n), np.ravel(label_ids)] = 1.0
     ds = GraphDataset(adj=adj, features=features, labels=labels, class_count=c,
                       name=str(meta["name"]))
-    ds.validate()
+    if binary is None:
+        ds.validate()
     return ds
 
 

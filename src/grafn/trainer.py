@@ -116,10 +116,10 @@ def build_step_loss(
     sample.
 
     `target(tape, p)` maps the live weak-view SNN distribution `p` to the
-    L_LC target; the default is `tape.detach(p)`. Gradient checks pass a
-    hook that records the target and then returns it frozen, because finite
-    differences of the step objective must hold the stop-gradient branch
-    constant, exactly as the optimizer sees it.
+    L_LC target; the default target comes from the detached weak view and
+    records nothing. Gradient checks pass a hook that records the target and
+    then returns it frozen, because finite differences of the step objective
+    must hold the stop-gradient branch constant, exactly as the optimizer sees it.
     """
     label_ids = ds.label_ids()
     tape.new_step()
@@ -136,8 +136,8 @@ def build_step_loss(
 
     support = sample_support(split, label_ids, ds.class_count, rng)
     p_pred = snn_distribution(tape, u_s, support, cfg.tau)
-    p_live = snn_distribution(tape, u_w, support, cfg.tau)
-    p_target = tape.detach(p_live) if target is None else target(tape, p_live)
+    p_target = (snn_distribution(tape, tape.detach(u_w), support, cfg.tau) if target is None
+                else target(tape, snn_distribution(tape, u_w, support, cfg.tau)))
     v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from grafn import (
     ConfigError,
     DataError,
+    GraphDataset,
     SplitSpec,
     generate_splits,
     load_dataset,
     random_dataset,
     write_dataset,
 )
+from grafn import data
 from grafn.data import convert_content_cites, degree_buckets
 from grafn.sparse import SparseAdjacency, normalize_adjacency
 from tests.conftest import SYNTH_KW, make_dataset
@@ -148,6 +150,47 @@ def test_binary_features_are_read_without_numpys_reader(tmp_path, monkeypatch):
     tsv.write_text("0.5" + tsv.read_text()[3:])  # same size, one cell not 0/1
     with pytest.raises(AssertionError, match="np.loadtxt called"):
         load_dataset(str(tmp_path / "written"))
+
+
+def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
+    """`write_dataset` and `convert` output loads without the per-line
+    reader's `_int`, and byte-read features without the finite scan; a CRLF
+    line, a signed label or a tab separator reaches the per-line reader, and
+    text-read features the scan."""
+    ds = random_dataset(**SYNTH_KW)
+    write_dataset(ds, str(tmp_path / "written"))
+    (tmp_path / "x.content").write_text("a 1 0 ml\nb 0 1 db\nc 1 1 ml\n")
+    (tmp_path / "x.cites").write_text("a b\nc b\n")
+    converted = tmp_path / "converted"
+    convert_content_cites(str(tmp_path / "x.content"), str(tmp_path / "x.cites"),
+                          str(converted))
+
+    def refuse(name):
+        def raise_(*args):
+            raise AssertionError(f"{name} called")
+        return raise_
+
+    monkeypatch.setattr(data, "_int", refuse("_int"))
+    monkeypatch.setattr(GraphDataset, "validate", refuse("validate"))
+    back = load_dataset(str(tmp_path / "written"))
+    for a, b in ((back.adj.csr.indptr, ds.adj.csr.indptr),
+                 (back.adj.csr.indices, ds.adj.csr.indices),
+                 (back.adj.csr.data, ds.adj.csr.data),
+                 (back.labels, ds.labels), (back.features, ds.features)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    small = load_dataset(str(converted))
+    np.testing.assert_array_equal(small.label_ids(), [1, 0, 1])
+    np.testing.assert_array_equal(small.adj.undirected_edge_list(), [[0, 1], [1, 2]])
+    for name, text in (("labels.txt", "1\r\n0\n1\n"), ("labels.txt", "+1\n0\n1\n"),
+                       ("graph.edges", "0\t1\n1 2\n")):
+        saved = (converted / name).read_bytes()
+        (converted / name).write_bytes(text.encode())
+        with pytest.raises(AssertionError, match="^_int called$"):
+            load_dataset(str(converted))
+        (converted / name).write_bytes(saved)
+    (converted / "features.tsv").write_text("1\t0\n0\t1\n1\t1\n")
+    with pytest.raises(AssertionError, match="^validate called$"):
+        load_dataset(str(converted))
 
 
 def test_write_load_roundtrip_is_identity(tmp_path):

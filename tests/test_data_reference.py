@@ -9,8 +9,15 @@ from their bytes, and near misses of them are drawn too.
 
 `ref_write_features` is the former per-cell writer of `write_dataset`, kept
 as the oracle of its byte path for +0.0/1.0 matrices.
+
+`ref_read_labels_edges` is the former per-line loop of `load_dataset` over
+labels.txt and graph.edges. The loader reads canonical files as arrays and
+walks every other file line by line; either way it must give the same arrays
+or the same message.
 """
 
+import json
+import os
 import re
 
 import numpy as np
@@ -19,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import DataError
-from grafn.data import _read_features, write_dataset
+from grafn.data import _read_features, load_dataset, write_dataset
+from grafn.sparse import SparseAdjacency
 from tests.conftest import make_dataset
 
 
@@ -231,3 +239,180 @@ def test_write_dataset_matches_per_cell_writer(workdir, x):
     ref_write_features(x, workdir / "reference.tsv")
     assert written.read_bytes() == (workdir / "reference.tsv").read_bytes()
     assert _read_features(str(written), n, f).tobytes() == x.tobytes()
+
+
+def ref_int(text):
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def ref_read_labels_edges(directory, n, c):
+    """(label ids, edge pairs) as the per-line loop read them."""
+    labels_path = os.path.join(directory, "labels.txt")
+    label_ids = np.zeros(n, dtype=np.int64)
+    count = 0
+    with open(labels_path, encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if count >= n:
+            raise DataError(f"{labels_path}: more than {n} label lines")
+        try:
+            val = ref_int(line)
+        except ValueError as exc:
+            raise DataError(f"{labels_path}:{lineno}: {exc}") from exc
+        if not 0 <= val < c:
+            raise DataError(f"{labels_path}:{lineno}: label {val} out of range [0,{c})")
+        label_ids[count] = val
+        count += 1
+    if count != n:
+        raise DataError(f"{labels_path}: expected {n} labels, got {count}")
+
+    edges_path = os.path.join(directory, "graph.edges")
+    edges = []
+    with open(edges_path, encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
+        try:
+            src, dst = ref_int(parts[0]), ref_int(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{edges_path}:{lineno}: {exc}") from exc
+        for node in (src, dst):
+            if not 0 <= node < n:
+                raise DataError(f"{edges_path}:{lineno}: node {node} out of range [0,{n})")
+        if src == dst:
+            raise DataError(f"{edges_path}:{lineno}: self-loop {src}")
+        if src > dst:
+            raise DataError(f"{edges_path}:{lineno}: src must be < dst")
+        edges.append((src, dst))
+    return label_ids, edges
+
+
+def arrays(adj, label_ids, c):
+    labels = np.zeros((len(label_ids), c))
+    labels[np.arange(len(label_ids)), label_ids] = 1.0
+    return ("ok", labels.tobytes(),
+            *((a.dtype.str, a.tobytes()) for a in (adj.csr.indptr, adj.csr.indices,
+                                                    adj.csr.data)))
+
+
+def load_outcome(directory, n, c):
+    """What `load_dataset` and the reference loop make of one directory."""
+    try:
+        ds = load_dataset(str(directory))
+        got = arrays(ds.adj, ds.label_ids(), c)
+    except DataError as exc:
+        got = ("error", str(exc))
+    try:
+        label_ids, edges = ref_read_labels_edges(str(directory), n, c)
+        want = arrays(SparseAdjacency.from_edges(n, edges), label_ids, c)
+    except DataError as exc:
+        want = ("error", str(exc))
+    return got, want
+
+
+def write_int_dir(directory, n, c, labels_text, edges_text):
+    """A dataset directory of N rows of one 0.0/1.0 feature and the given
+    labels.txt and graph.edges text."""
+    directory.mkdir(exist_ok=True)
+    (directory / "meta.json").write_text(json.dumps(
+        {"name": "ints", "num_nodes": n, "num_features": 1, "num_classes": c}))
+    (directory / "features.tsv").write_text("1.0\n" * n)
+    (directory / "labels.txt").write_text(labels_text, encoding="utf-8", newline="")
+    (directory / "graph.edges").write_text(edges_text, encoding="utf-8", newline="")
+
+
+def token(v):
+    """`v` as written, or a near miss of the canonical digits: a sign,
+    leading zeros up to and past 18 digits, a digit group, a non-ASCII digit,
+    a letter or padding."""
+    return st.sampled_from([str(v)] * 60 + [
+        f"+{v}", f"-{v}", f"0{v}", f"{v:018d}", f"{v:019d}", f"1_{v}", "\u0661", "p",
+        f" {v}", f"{v}\t", "999999999999999999", str(10**18)])
+
+
+@st.composite
+def int_file(draw, rows):
+    """Lines of the integer tuples `rows`, mostly canonical: tokens joined by
+    one space, LF at each line's end. Near misses: a token (see `token`), a
+    tab, two spaces or \\x1c between tokens, a CR or CRLF line end, a blank
+    line, no final LF."""
+    lines = []
+    for row in rows:
+        sep = draw(st.sampled_from([" "] * 24 + ["\t", "  ", "\x1c"]))
+        end = draw(st.sampled_from(["\n"] * 24 + ["\r\n", "\r"]))
+        lines.append(sep.join([draw(token(v)) for v in row]) + end)
+    if draw(st.integers(0, 11)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", " \n"])))
+    text = "".join(lines)
+    return text[:-1] if text.endswith("\n") and draw(st.integers(0, 11)) == 0 else text
+
+
+@st.composite
+def labels_and_edges(draw):
+    """(labels text, edges text, N, C): N labels in [0, C) and a few src < dst
+    pairs, with now and then a label line too many or too few, a label of C,
+    and an edge reversed, a self-loop, a node of N, or three fields."""
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    count = n + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    labels = [(draw(st.integers(0, c - 1 + (draw(st.integers(0, 11)) == 0))),)
+              for _ in range(count)]
+    edges = []
+    for _ in range(draw(st.integers(0, 5)) if n > 1 else 0):
+        src, dst = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+        edges.append(draw(st.sampled_from([(src, dst)] * 12 + [
+            (dst, src), (src, src), (src, n), (src, dst, dst), (src,)])))
+    return draw(int_file(labels)), draw(int_file(edges)), n, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=labels_and_edges())
+def test_load_labels_and_edges_match_reference(workdir, case):
+    labels_text, edges_text, n, c = case
+    write_int_dir(workdir / "ints", n, c, labels_text, edges_text)
+    got, want = load_outcome(workdir / "ints", n, c)
+    assert got == want
+
+
+INT_CASES = {
+    "canonical": ("1\n0\n2\n", "0 1\n1 2\n0 2\n0 1\n"),
+    "no edges": ("0\n0\n1\n", ""),
+    "18-digit tokens": ("000000000000000001\n0\n0\n", "000000000000000000 000000000000000002\n"),
+    "19-digit tokens": ("0000000000000000001\n0\n0\n", "0 0000000000000000002\n"),
+    "signs": ("+1\n-0\n0\n", "+0 1\n"),
+    "CRLF line": ("1\r\n0\n0\n", "0 1\r\n1 2\n"),
+    "CR line": ("1\n0\r0\n", "0 1\r1 2\n"),
+    "tab separator": ("1\n0\n0\n", "0\t1\n"),
+    "two spaces": ("1\n0\n0\n", "0  1\n"),
+    "blank line": ("1\n\n0\n0\n", "0 1\n\n1 2\n"),
+    "padded line": (" 1\n0\n0\n", "0 1 \n"),
+    "no final LF": ("1\n0\n0", "0 1\n1 2"),
+    "digit group": ("1_0\n0\n0\n", "0 1\n"),
+    "non-ASCII digit": ("1\n\u0660\n0\n", "\u0660 1\n"),
+    "letter": ("1\np\n0\n", "0 p\n"),  # 'p' & 15 == 0
+    "label of C": ("1\n3\n0\n", "0 1\n"),
+    "too many labels": ("1\n0\n0\n2\n", "0 1\n"),
+    "too few labels": ("1\n0\n", "0 1\n"),
+    "node of N": ("1\n0\n0\n", "0 1\n1 3\n"),
+    "self-loop": ("1\n0\n0\n", "0 1\n2 2\n"),
+    "src > dst": ("1\n0\n0\n", "0 1\n2 1\n"),
+    "three fields": ("1\n0\n0\n", "0 1 2\n"),
+    "overlong node": ("1\n0\n0\n", "0 99999999999999999999\n"),
+}
+
+
+@pytest.mark.parametrize("case", INT_CASES.values(), ids=INT_CASES.keys())
+def test_load_labels_and_edges_match_reference_on_named_cases(tmp_path, case):
+    write_int_dir(tmp_path / "ints", 3, 3, *case)
+    got, want = load_outcome(tmp_path / "ints", 3, 3)
+    assert got == want

@@ -355,6 +355,22 @@ def test_backward_leaves_no_recorded_output_or_gradient(monkeypatch, no_cyclic_g
     assert all(p.grad.shape == p.data.shape for p in tape.parameters.values())
 
 
+def test_default_target_records_no_weak_view_snn_kernel():
+    """By default the L_LC target is built from the detached weak view, so of
+    the two SNN distributions only the strong view's 6 kernels are on the
+    tape; the losses equal those of a `tape.detach` hook."""
+    ds, split, cfg, tape, encoder, head, features, unlabeled = sparse_step_setup()
+    kinds, parts = [], []
+    for target in (None, lambda tape, p: tape.detach(p)):
+        _, step = build_step_loss(tape, ds, split, encoder, head, cfg,
+                                  np.random.default_rng(1), features, unlabeled, target=target)
+        kinds.append([backprop.__qualname__.split(".")[1] for _, backprop in tape._records])
+        parts.append(step)
+    assert [k.count("softmax_rows") for k in kinds] == [1, 2]
+    assert len(kinds[1]) - len(kinds[0]) == 6
+    assert parts[0] == parts[1]
+
+
 def test_train_step_traced_peak_is_bounded():
     """One warmed-up step on a 1500-node CSR graph holds at most 16 N x H
     float64 arrays at once (about 12 in practice: the dropout scales, the
