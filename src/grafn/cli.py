@@ -306,7 +306,7 @@ def cmd_gradcheck(args) -> int:
             return total
 
         build()
-        err = finite_diff_check(tape, build, eps=1e-5)
+        err = finite_diff_check(tape, build)
         worst = max(worst, err)
         print(f"nu={nu}: max relative gradient error {err:.3e}")
     if worst >= GRADCHECK_TOLERANCE:

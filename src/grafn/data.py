@@ -80,7 +80,8 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        """Parse a split file; every index entry must be a JSON integer."""
+        """Parse a split file; "seed" and every index entry must be JSON
+        integers, "label_rate" a finite JSON number."""
         try:
             obj = json.loads(text)
             sets = {}
@@ -88,7 +89,12 @@ class SplitSpec:
                 if not set(map(type, obj[key])) <= {int}:  # bool and float fail
                     raise ValueError(f"{key!r} entries must be integers")
                 sets[key] = np.asarray(obj[key], dtype=np.int64)
-            return cls(**sets, seed=int(obj["seed"]), label_rate=float(obj["label_rate"]))
+            seed, rate = obj["seed"], obj["label_rate"]
+            if type(seed) is not int:
+                raise ValueError(f"'seed' must be an integer, got {seed!r}")
+            if type(rate) not in (int, float) or not math.isfinite(rate):
+                raise ValueError(f"'label_rate' must be a finite number, got {rate!r}")
+            return cls(**sets, seed=seed, label_rate=float(rate))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed split file: {exc}") from exc
 
@@ -164,10 +170,11 @@ def _read_binary_features(path: str, n: int, f: int) -> np.ndarray | None:
     return None
 
 
-def _read_features(path: str, n: int, f: int) -> np.ndarray:
-    """`_read_binary_features`, else `_read_text_features`."""
+def _read_features(path: str, n: int, f: int) -> tuple[np.ndarray, bool]:
+    """`_read_binary_features`, else `_read_text_features`; the flag is True
+    for the text path, whose values may still be non-finite."""
     binary = _read_binary_features(path, n, f)
-    return _read_text_features(path, n, f) if binary is None else binary
+    return (_read_text_features(path, n, f), True) if binary is None else (binary, False)
 
 
 def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
@@ -224,8 +231,7 @@ def load_dataset(directory: str) -> GraphDataset:
         raise DataError(f"{meta_path}: N, F, C must be positive")
 
     features_path = os.path.join(directory, "features.tsv")
-    binary = _read_binary_features(features_path, n, f)  # 0.0 and 1.0: no finite scan
-    features = _read_text_features(features_path, n, f) if binary is None else binary
+    features, from_text = _read_features(features_path, n, f)
 
     labels_path = os.path.join(directory, "labels.txt")
     label_ids = _int_array(labels_path, 1)
@@ -276,7 +282,7 @@ def load_dataset(directory: str) -> GraphDataset:
     labels[np.arange(n), np.ravel(label_ids)] = 1.0
     ds = GraphDataset(adj=adj, features=features, labels=labels, class_count=c,
                       name=str(meta["name"]))
-    if binary is None:
+    if from_text:  # byte-read features are 0.0 and 1.0: no finite scan
         ds.validate()
     return ds
 

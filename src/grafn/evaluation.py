@@ -15,6 +15,8 @@ from .errors import ConfigError, GrafnError, NumericsError
 from .config import TrainConfig
 from .trainer import fit
 
+QUERY_BLOCK = 512  # sim_at_k's queries per similarity block
+
 
 def config_fingerprint(cfg: TrainConfig) -> str:
     """First 16 hex digits of the SHA-256 of the flat record as sorted-key
@@ -70,8 +72,9 @@ def _fit_split(ds: GraphDataset, cfg: TrainConfig, i: int,
     the split seed."""
     try:
         result = fit(ds, split, dataclasses.replace(cfg, seed=cfg.seed + i))
-    except GrafnError as exc:
-        raise type(exc)(f"split seed {split.seed}: {exc}") from exc
+    except GrafnError as exc:  # the same exception: a DivergenceError keeps its history
+        exc.args = (f"split seed {split.seed}: {exc}",)
+        raise
     return result.test_accuracy_at_best_val, result.best_val_accuracy, result.epoch_of_best
 
 
@@ -129,25 +132,21 @@ def sim_at_k(
     label_ids: np.ndarray,
     k: int,
     query_nodes: np.ndarray | None = None,
-    block: int = 512,
 ) -> float:
     """Mean fraction of each query's k cosine-nearest neighbors (self
     excluded, ties toward the lower index) sharing the query's label.
 
-    The neighbours are selected, not sorted. A row of n >= 4g entries, for
-    g = max(k, 128), is split into g column groups (column c in group
-    c mod g); the k-th largest of the g group maxima bounds the row's k-th
-    largest similarity from below, and `np.partition` finds that value
-    exactly among the few entries at or above the bound. A shorter row is
-    partitioned whole, since the bound saves nothing there. Only the entries
-    at or above the k-th value are ranked, those above it first and then its
-    ties, each in index order.
+    The neighbours are selected, not sorted, for QUERY_BLOCK queries at a
+    time. A row of n entries is split into g = max(k, min(128, n // 4))
+    column groups (column c in group c mod g), so k <= g < n; the k-th
+    largest of the g group maxima bounds the row's k-th largest similarity
+    from below, and `np.partition` finds that value exactly among the entries
+    at or above the bound. Only the entries at or above the k-th value are
+    ranked, those above it first and then its ties, each in index order.
     """
     n = z.shape[0]
     if not 1 <= k < n:
         raise ConfigError(f"k={k} must be at least 1 and smaller than the node count {n}")
-    if block < 1:
-        raise ConfigError(f"sim_at_k: block={block} must be at least 1")
     if query_nodes is None:
         query_nodes = np.arange(n)
     if len(query_nodes) == 0:
@@ -161,32 +160,28 @@ def sim_at_k(
             f"sim_at_k: embedding row {bad[0]} has zero or non-finite norm {norms[bad[0]]}"
         )
     zn = z / norms[:, None]
-    g = max(k, 128)
+    g = max(k, min(128, n // 4))
     full = n - n % g
-    buf = np.empty((min(block, len(query_nodes)), n), dtype=zn.dtype)
+    buf = np.empty((min(QUERY_BLOCK, len(query_nodes)), n), dtype=zn.dtype)
     fractions = np.empty(len(query_nodes))
-    for start in range(0, len(query_nodes), block):
-        q = query_nodes[start:start + block]
+    for start in range(0, len(query_nodes), QUERY_BLOCK):
+        q = query_nodes[start:start + QUERY_BLOCK]
         b = len(q)
         sims = np.matmul(zn[q], zn.T, out=buf[:b])
         sims[np.arange(b), q] = -np.inf
         flat = sims.ravel()
-        if n >= 4 * g:
-            top = sims[:, :full].reshape(b, -1, g).max(axis=1)
-            np.maximum(top[:, :n - full], sims[:, full:], out=top[:, :n - full])
-            bound = np.partition(top, g - k, axis=1)[:, g - k]
-            # row-major candidates, at least k per row; pad to the widest with -inf
-            idx = np.flatnonzero(sims >= bound[:, None])
-            rows = idx // n
-            first = np.searchsorted(rows, np.arange(b + 1))
-            width = np.diff(first).max()
-            cand = np.full((b, width), -np.inf)
-            cand[rows, np.arange(len(idx)) - first[rows]] = flat[idx]
-            kth = np.partition(cand, width - k, axis=1)[:, width - k]
-            idx = idx[flat[idx] >= kth[rows]]
-        else:
-            kth = np.partition(sims, n - k, axis=1)[:, n - k]
-            idx = np.flatnonzero(sims >= kth[:, None])
+        top = sims[:, :full].reshape(b, -1, g).max(axis=1)
+        np.maximum(top[:, :n - full], sims[:, full:], out=top[:, :n - full])
+        bound = np.partition(top, g - k, axis=1)[:, g - k]
+        # row-major candidates, at least k per row; pad to the widest with -inf
+        idx = np.flatnonzero(sims >= bound[:, None])
+        rows = idx // n
+        first = np.searchsorted(rows, np.arange(b + 1))
+        width = np.diff(first).max()
+        cand = np.full((b, width), -np.inf)
+        cand[rows, np.arange(len(idx)) - first[rows]] = flat[idx]
+        kth = np.partition(cand, width - k, axis=1)[:, width - k]
+        idx = idx[flat[idx] >= kth[rows]]
         # row-major; per row at least k entries, fewer than k above kth
         rows = idx // n
         idx = idx[np.argsort(2 * rows + (flat[idx] == kth[rows]), kind="stable")]

@@ -1,8 +1,8 @@
 """Finite-difference verification of tape gradients.
 
 Central differences with a two-step-size consistency guard: an entry whose
-finite-difference estimate is unstable between step sizes eps and eps/2 sits
-within eps of a kink (ReLU corner, confidence-set membership flip) and is
+finite-difference estimate is unstable between step sizes EPS and EPS/2 sits
+within EPS of a kink (ReLU corner, confidence-set membership flip) and is
 skipped; everywhere else the estimate is trustworthy to ~1e-10 in float64.
 """
 
@@ -14,6 +14,7 @@ from .errors import NumericsError
 from .tape import Tape, Tensor
 
 ABS_FLOOR = 1e-8  # differences below this count as agreement
+EPS = 1e-5  # central-difference step; EPS / 2 is the consistency step
 
 
 def _value(tape: Tape, build_loss: Callable[[], Tensor]) -> float:
@@ -21,11 +22,7 @@ def _value(tape: Tape, build_loss: Callable[[], Tensor]) -> float:
     return float(build_loss().data)
 
 
-def finite_diff_check(
-    tape: Tape,
-    build_loss: Callable[[], Tensor],
-    eps: float = 1e-5,
-) -> float:
+def finite_diff_check(tape: Tape, build_loss: Callable[[], Tensor]) -> float:
     """Max relative error between tape gradients and central differences.
 
     `build_loss` must rebuild the forward pass from current parameter values
@@ -56,10 +53,10 @@ def finite_diff_check(
                 flat[i] = saved
                 return (lp - lm) / (2.0 * h)
 
-            d1 = fd(eps)
-            d2 = fd(eps / 2.0)
+            d1 = fd(EPS)
+            d2 = fd(EPS / 2.0)
             if abs(d1 - d2) > max(1e-3 * max(abs(d1), abs(d2)), 1e-7):
-                continue  # kink within eps: finite differences unreliable here
+                continue  # kink within EPS: finite differences unreliable here
             diff = abs(d1 - gflat[i])
             if diff <= ABS_FLOOR:
                 continue

@@ -67,6 +67,16 @@ class LinearHead:
         return tape.add_bias(tape.matmul(z, self.w), self.b)
 
 
+PARAM_NAMES = ("enc.w1", "enc.w2", "head.w", "head.b")  # checkpoint order
+
+
+def _assemble(tape: Tape, arrays: list[np.ndarray],
+              dropout: float) -> tuple[GcnEncoder, LinearHead]:
+    """Encoder and head over tape parameters of `arrays`, in PARAM_NAMES order."""
+    w1, w2, w, b = (tape.parameter(a, name) for a, name in zip(arrays, PARAM_NAMES))
+    return GcnEncoder(w1, w2, dropout), LinearHead(w, b)
+
+
 def init_params(
     tape: Tape,
     num_features: int,
@@ -77,16 +87,10 @@ def init_params(
     rng: np.random.Generator,
 ) -> tuple[GcnEncoder, LinearHead]:
     """Glorot-uniform weights, zero biases; deterministic given the rng state."""
-    encoder = GcnEncoder(
-        w1=tape.parameter(glorot(rng, num_features, hidden_dim), "enc.w1"),
-        w2=tape.parameter(glorot(rng, hidden_dim, embed_dim), "enc.w2"),
-        dropout=dropout,
-    )
-    head = LinearHead(
-        w=tape.parameter(glorot(rng, embed_dim, num_classes), "head.w"),
-        b=tape.parameter(np.zeros((1, num_classes)), "head.b"),
-    )
-    return encoder, head
+    return _assemble(tape, [glorot(rng, num_features, hidden_dim),
+                            glorot(rng, hidden_dim, embed_dim),
+                            glorot(rng, embed_dim, num_classes),
+                            np.zeros((1, num_classes))], dropout)
 
 
 def embed(encoder: GcnEncoder, adj_norm: SparseAdjacency,
@@ -172,23 +176,14 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 def build_from_checkpoint(params: dict[str, np.ndarray]) -> tuple[Tape, GcnEncoder, LinearHead]:
     """Reconstruct encoder and head on a fresh tape from checkpoint arrays;
     shapes that do not chain (F x H, H x D, D x C, 1 x C) raise DataError."""
-    for key in ("enc.w1", "enc.w2", "head.w", "head.b"):
+    for key in PARAM_NAMES:
         if key not in params:
             raise DataError(f"checkpoint missing parameter {key!r}")
-    w1, w2, w, b = (params[k].shape for k in ("enc.w1", "enc.w2", "head.w", "head.b"))
+    w1, w2, w, b = (params[k].shape for k in PARAM_NAMES)
     if w1[1] != w2[0] or w2[1] != w[0] or b != (1, w[1]):
         raise DataError(
             f"checkpoint parameter shapes do not chain: enc.w1 {w1}, enc.w2 {w2}, "
             f"head.w {w}, head.b {b}"
         )
     tape = Tape()
-    encoder = GcnEncoder(
-        w1=tape.parameter(params["enc.w1"], "enc.w1"),
-        w2=tape.parameter(params["enc.w2"], "enc.w2"),
-        dropout=0.0,
-    )
-    head = LinearHead(
-        w=tape.parameter(params["head.w"], "head.w"),
-        b=tape.parameter(params["head.b"], "head.b"),
-    )
-    return tape, encoder, head
+    return (tape, *_assemble(tape, [params[k] for k in PARAM_NAMES], 0.0))

@@ -257,6 +257,10 @@ SPLIT_EDITS = {
     "empty val": lambda obj, labels: obj.update(val=[]),
     "labeled index -1": lambda obj, labels: obj["labeled"].append(-1),
     "test entry 0.5": lambda obj, labels: obj["test"].append(0.5),
+    "seed 1.7": lambda obj, labels: obj.update(seed=1.7),
+    "seed true": lambda obj, labels: obj.update(seed=True),
+    "seed '7'": lambda obj, labels: obj.update(seed="7"),
+    "label_rate 'nan'": lambda obj, labels: obj.update(label_rate="nan"),
     "node in two sets": lambda obj, labels: obj["test"].append(obj["labeled"][0]),
     "labeled misses class 2": lambda obj, labels: obj.update(
         labeled=[i for i in obj["labeled"] if labels[i] != 2]),

@@ -431,9 +431,26 @@ def test_split_json_roundtrip():
     assert back.seed == 17 and back.label_rate == 0.25
 
 
-def test_split_malformed_json():
-    with pytest.raises(DataError, match="malformed split file"):
-        SplitSpec.from_json('{"seed": 1}')
+SPLIT_SETS = '"labeled": [0], "val": [1], "test": [2]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1}', "'labeled'"),
+    (f'{{"seed": 1.7, "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got 1.7"),
+    (f'{{"seed": true, "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got True"),
+    (f'{{"seed": "7", "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got '7'"),
+    (f'{{"seed": 1, "label_rate": "nan", {SPLIT_SETS}}}',
+     "'label_rate' must be a finite number, got 'nan'"),
+    (f'{{"seed": 1, "label_rate": NaN, {SPLIT_SETS}}}',
+     "'label_rate' must be a finite number, got nan"),
+    (f'{{"seed": 1, "label_rate": -Infinity, {SPLIT_SETS}}}',
+     "'label_rate' must be a finite number, got -inf"),
+    (f'{{"seed": 1, "label_rate": false, {SPLIT_SETS}}}',
+     "'label_rate' must be a finite number, got False"),
+])
+def test_split_malformed_json(text, message):
+    with pytest.raises(DataError, match=f"^malformed split file: {re.escape(message)}$"):
+        SplitSpec.from_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from grafn import (
     run_benchmark,
     sim_at_k,
 )
-from grafn import trainer
+from grafn import evaluation, trainer
 from grafn.evaluation import (
     BenchReport,
     ablation_suite,
@@ -44,12 +44,6 @@ def test_sim_at_k_k_too_large():
     for k in (5, 6, 0, -3):
         with pytest.raises(ConfigError, match=f"k={k}"):
             sim_at_k(np.ones((5, 2)), np.zeros(5, dtype=int), k)
-
-
-@pytest.mark.parametrize("block", [0, -1])
-def test_sim_at_k_rejects_block_below_one(block):
-    with pytest.raises(ConfigError, match=f"block={block} must be at least 1"):
-        sim_at_k(np.eye(5, 2) + 1.0, np.zeros(5, dtype=int), 3, block=block)
 
 
 def test_sim_at_k_rejects_empty_query_set():
@@ -93,12 +87,13 @@ def test_sim_at_k_excludes_self_and_breaks_ties_low():
     assert out == pytest.approx(0.5)
 
 
-def test_sim_at_k_query_subset_and_blocking():
+def test_sim_at_k_query_subset_and_blocking(monkeypatch):
     rng = np.random.default_rng(3)
     z = rng.standard_normal((40, 6))
     labels = rng.integers(0, 2, 40)
-    full = sim_at_k(z, labels, 3, block=7)
-    again = sim_at_k(z, labels, 3, block=512)
+    again = sim_at_k(z, labels, 3)
+    monkeypatch.setattr(evaluation, "QUERY_BLOCK", 7)
+    full = sim_at_k(z, labels, 3)
     assert full == pytest.approx(again, abs=1e-12)
 
 
@@ -179,8 +174,10 @@ def test_benchmark_error_names_split_seed(bench_ds, monkeypatch, jobs):
     supervised_loss = trainer.supervised_loss
     monkeypatch.setattr(trainer, "supervised_loss",
                         lambda tape, *args: tape.scale(supervised_loss(tape, *args), np.nan))
-    with pytest.raises(DivergenceError, match="^split seed 3: non-finite total loss at epoch 1$"):
+    message = "^split seed 3: non-finite total loss at epoch 1$"
+    with pytest.raises(DivergenceError, match=message) as err:
         run_benchmark(bench_ds, 0.1, 1, bench_cfg(max_epochs=2), base_seed=3, jobs=jobs)
+    assert err.value.history  # the partial loss history survives, across the pool too
 
 
 def test_ablation_rows_share_splits_and_reduce_correctly(bench_ds):

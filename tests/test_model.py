@@ -142,7 +142,7 @@ def test_encode_classify_cross_entropy_gradcheck(sparse_input):
         z = encoder.encode(tape, adj, x, training=True, rng=np.random.default_rng(55))
         return tape.softmax_cross_entropy(head.classify(tape, z), onehot)
 
-    err = finite_diff_check(tape, build, eps=1e-5)
+    err = finite_diff_check(tape, build)
     assert err < 1e-4, f"{err:.3e}"
 
 

@@ -6,11 +6,13 @@ small integer embeddings make many similarities tie exactly, so the
 "ties toward the lower index" rule is exercised on most rows.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grafn import sim_at_k
+from grafn import evaluation, sim_at_k
 
 
 def ref_sim_at_k(z, label_ids, k, query_nodes=None, block=512):
@@ -49,18 +51,22 @@ def sim_cases(draw):
 @given(sim_cases())
 @example((np.ones((6, 2)), np.array([0, 1, 0, 1, 2, 2]), None, 4))
 def test_sim_at_k_matches_sort_oracle_for_every_k(case):
+    """Rows of 2 to 24 entries: g = max(k, n // 4) groups of one or a few
+    columns, down to a single group holding the whole row."""
     z, labels, queries, block = case
-    for k in range(1, z.shape[0]):
-        assert sim_at_k(z, labels, k, queries, block) == ref_sim_at_k(
-            z, labels, k, queries, block
-        )
+    with mock.patch.object(evaluation, "QUERY_BLOCK", block):
+        for k in range(1, z.shape[0]):
+            assert sim_at_k(z, labels, k, queries) == ref_sim_at_k(
+                z, labels, k, queries, block
+            )
 
 
 def test_sim_at_k_matches_sort_oracle_across_blocks():
-    """Heavy ties in a 700-node graph, past the n >= 4 * max(k, 128) rows
-    that take the group-maximum bound: the blocks split the queries, and for
-    k = 50 the tied candidates cross them. With d = 1 every cosine is +-1,
-    so about half of each row ties at the bound, the widest candidate rows."""
+    """Heavy ties in a 700-node graph, whose 128 column groups (k of them for
+    k > 128) hold 5 or 6 entries each: all 700 queries take two blocks, and
+    for k = 50 the tied candidates cross them. With d = 1 every cosine is
+    +-1, so about half of each row ties at the bound, the widest candidate
+    rows."""
     rng = np.random.default_rng(5)
     for d in (3, 1):
         z = rng.integers(-2, 3, size=(700, d)).astype(np.float64)
@@ -68,7 +74,6 @@ def test_sim_at_k_matches_sort_oracle_across_blocks():
         labels = rng.integers(0, 4, 700)
         for queries in (None, rng.choice(700, 300, replace=False)):
             for k in (1, 5, 10, 50, 127, 128, 129):
-                for block in (97, 512):
-                    assert sim_at_k(z, labels, k, queries, block) == ref_sim_at_k(
-                        z, labels, k, queries, block
-                    ), (d, k, block)
+                assert sim_at_k(z, labels, k, queries) == ref_sim_at_k(
+                    z, labels, k, queries
+                ), (d, k)

@@ -247,7 +247,7 @@ def test_quadratic_loss_matches_analytic_gradient():
         # sum(W^T W) = sum_k (sum_i W_ki)^2, so dL/dW_ki = 2 sum_i W_ki
         return total(tape, tape.matmul(tape.transpose(w), w))
 
-    err = finite_diff_check(tape, build, eps=1e-5)
+    err = finite_diff_check(tape, build)
     assert err < 1e-7
     tape.new_step()
     tape.backward(build())
@@ -291,7 +291,7 @@ def test_each_kernel_gradient(op_name):
             tape.spmm(adj, tape.relu(tape.spmm(adj, w))), onehot
         ),
     }
-    err = finite_diff_check(tape, builders[op_name], eps=1e-5)
+    err = finite_diff_check(tape, builders[op_name])
     assert err < 1e-4, f"{op_name}: {err:.3e}"
 
 
@@ -307,7 +307,7 @@ def test_cross_entropy_gradient_flows_into_live_target():
         q = tape.softmax_rows(tape.scale(w, 0.5))
         return tape.cross_entropy_rows(p, q)
 
-    err = finite_diff_check(tape, build, eps=1e-5)
+    err = finite_diff_check(tape, build)
     assert err < 1e-4
 
 
@@ -327,7 +327,7 @@ def test_finite_diff_check_detects_broken_gradient():
         wrong = tape._emit(np.asarray(out.data.sum()), (out,), bad_backprop)
         return wrong
 
-    err = finite_diff_check(tape, build, eps=1e-5)
+    err = finite_diff_check(tape, build)
     assert err > 0.1
 
 
