@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation
 from .config import TrainConfig, apply_overrides, build_train_config, load_config_file
 from .data import SplitSpec, convert_content_cites, generate_splits, load_dataset
-from .errors import ConfigError, DataError, DivergenceError, GrafnError, NumericsError
+from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .gradcheck import finite_diff_check
 from .model import (build_from_checkpoint, embed, init_params, load_checkpoint, predict,
                     save_checkpoint)
@@ -221,7 +221,7 @@ def cmd_simsearch(args) -> int:
     results = {}
     for k in args.k:
         results[f"sim@{k}"] = evaluation.sim_at_k(
-            z.data, ds.label_ids(), k, query_nodes=query_nodes
+            z.data, ds.labels, k, query_nodes=query_nodes
         )
         print(f"Sim@{k} = {results[f'sim@{k}']:.4f}")
     if args.out:
@@ -246,7 +246,7 @@ def cmd_degree_report(args) -> int:
     encoder, head, cfg = _load_run(args.checkpoint, ds)
     split = _load_split(args.split, ds)
     pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
-                   cfg, split.labeled, ds.label_ids())
+                   cfg, split.labeled, ds.labels)
     report = evaluation.degree_accuracy_report(ds, pred, split.test, boundaries)
     for row in report["buckets"]:
         acc = "null" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
@@ -420,9 +420,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except GrafnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-expor
 class GraphDataset:
     adj: SparseAdjacency          # raw unweighted adjacency, no self-loops
     features: np.ndarray          # N x F float64
-    labels: np.ndarray            # N x C one-hot float64
+    labels: np.ndarray            # N int64 class ids in [0, class_count)
     class_count: int
     name: str
 
@@ -47,7 +47,7 @@ class GraphDataset:
         return self.features.shape[1]
 
     def label_ids(self) -> np.ndarray:
-        return np.argmax(self.labels, axis=1)
+        return self.labels
 
     def validate(self) -> None:
         """Raise DataError at the first non-finite feature."""
@@ -112,7 +112,7 @@ class SplitSpec:
         nodes = np.concatenate([self.labeled, self.val, self.test])
         if np.unique(nodes).size != nodes.size:
             raise DataError("split sets share or repeat a node")
-        counts = np.bincount(ds.label_ids()[self.labeled], minlength=ds.class_count)
+        counts = np.bincount(ds.labels[self.labeled], minlength=ds.class_count)
         if not counts.all():
             raise DataError(f"split set 'labeled' has no node of class {np.argmin(counts)}")
 
@@ -277,10 +277,8 @@ def load_dataset(directory: str) -> GraphDataset:
                 raise DataError(f"{edges_path}:{lineno}: src must be < dst")
             edges.append((src, dst))
 
-    adj = SparseAdjacency.from_edges(n, edges)
-    labels = np.zeros((n, c), dtype=np.float64)
-    labels[np.arange(n), np.ravel(label_ids)] = 1.0
-    ds = GraphDataset(adj=adj, features=features, labels=labels, class_count=c,
+    ds = GraphDataset(adj=SparseAdjacency.from_edges(n, edges), features=features,
+                      labels=np.ravel(np.asarray(label_ids, dtype=np.int64)), class_count=c,
                       name=str(meta["name"]))
     if from_text:  # byte-read features are 0.0 and 1.0: no finite scan
         ds.validate()
@@ -311,9 +309,8 @@ def write_dataset(ds: GraphDataset, directory: str, extra_meta: dict | None = No
         else:
             for row in ds.features:
                 fh.write(("\t".join(repr(float(v)) for v in row) + "\n").encode())
-    label_ids = ds.label_ids()
     with open(os.path.join(directory, "labels.txt"), "w", encoding="utf-8") as fh:
-        for v in label_ids:
+        for v in ds.labels:
             fh.write(f"{int(v)}\n")
     with open(os.path.join(directory, "graph.edges"), "w", encoding="utf-8") as fh:
         for i, j in ds.adj.undirected_edge_list():
@@ -396,14 +393,10 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
         else:
             pairs.add(pair)
 
-    adj = SparseAdjacency.from_edges(n, sorted(pairs))
-    labels = np.zeros((n, len(classes)), dtype=np.float64)
-    for i, cls in enumerate(class_names):
-        labels[i, class_to_idx[cls]] = 1.0
     ds = GraphDataset(
-        adj=adj,
+        adj=SparseAdjacency.from_edges(n, sorted(pairs)),
         features=np.asarray(feat_rows, dtype=np.float64),
-        labels=labels,
+        labels=np.array([class_to_idx[cls] for cls in class_names], dtype=np.int64),
         class_count=len(classes),
         name=os.path.basename(os.path.normpath(out_dir)) or "converted",
     )
@@ -452,8 +445,7 @@ def generate_splits(
             f"label_rate {label_rate} yields {n_labeled} labeled nodes, "
             f"fewer than {c} classes"
         )
-    label_ids = ds.label_ids()
-    class_members = [np.flatnonzero(label_ids == k) for k in range(c)]
+    class_members = [np.flatnonzero(ds.labels == k) for k in range(c)]
     for k, members in enumerate(class_members):
         if len(members) == 0:
             raise DataError(f"class {k} has no nodes")
@@ -467,7 +459,7 @@ def generate_splits(
     for k in order[:short]:
         alloc[k] += 1
     per_class = alloc + 1
-    # defensive: a class smaller than its allocation hands the excess on
+    # a class smaller than its allocation hands the excess on, in `order`
     for k in range(c):
         if per_class[k] > len(class_members[k]):
             excess = per_class[k] - len(class_members[k])

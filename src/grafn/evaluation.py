@@ -101,8 +101,8 @@ def run_benchmark(
 ) -> BenchReport:
     """fit() once per generated split; run i trains with seed cfg.seed + i.
 
-    jobs > 1 distributes splits over processes; the aggregate is identical
-    to the sequential result.
+    jobs > 1 distributes splits over min(jobs, n_splits) processes; the
+    aggregate is identical to the sequential result.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -111,7 +111,8 @@ def run_benchmark(
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(ds, cfg)) as pool:
+        with ctx.Pool(min(jobs, n_splits), initializer=_worker_init,
+                      initargs=(ds, cfg)) as pool:
             rows = pool.map(_worker_fit, list(enumerate(splits)))
     else:
         rows = [_fit_split(ds, cfg, i, split) for i, split in enumerate(splits)]
@@ -201,7 +202,6 @@ def degree_accuracy_report(
     """Accuracy of the per-node predictions `pred` in each raw-degree bucket
     of the test set; empty buckets get null accuracy rather than zero."""
     buckets = degree_buckets(ds, boundaries)
-    label_ids = ds.label_ids()
     rows = []
     n_buckets = len(boundaries) + 1
     labels_txt = (
@@ -212,7 +212,7 @@ def degree_accuracy_report(
     for bucket in range(n_buckets):
         members = test_set[buckets[test_set] == bucket]
         acc = (
-            float(np.mean(pred[members] == label_ids[members])) if len(members) else None
+            float(np.mean(pred[members] == ds.labels[members])) if len(members) else None
         )
         rows.append({
             "bucket": bucket,

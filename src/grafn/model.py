@@ -123,11 +123,14 @@ def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
 
 
 def save_checkpoint(path: str, params: dict[str, np.ndarray]) -> None:
+    """Every parameter is checked before the file is opened, so a
+    NumericsError leaves no partial checkpoint."""
+    for name, value in params.items():
+        if value.ndim != 2:
+            raise NumericsError(f"checkpoint parameter {name!r} must be 2-d")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for name, value in params.items():
-            if value.ndim != 2:
-                raise NumericsError(f"checkpoint parameter {name!r} must be 2-d")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

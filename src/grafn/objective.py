@@ -36,10 +36,8 @@ def sample_support(split: SplitSpec, label_ids: np.ndarray, num_classes: int,
     ]
     b = min(len(v) for v in labeled_by_class)
     picks = [rng.choice(members, size=b, replace=False) for members in labeled_by_class]
-    indices = np.concatenate(picks)
-    y_support = np.zeros((b * num_classes, num_classes))
-    y_support[np.arange(b * num_classes), np.repeat(np.arange(num_classes), b)] = 1.0
-    return SupportSet(indices=indices, y_support=y_support)
+    return SupportSet(indices=np.concatenate(picks),
+                      y_support=np.eye(num_classes)[np.repeat(np.arange(num_classes), b)])
 
 
 def node_consistency_loss(tape: Tape, u: Tensor, u_prime: Tensor) -> Tensor:
@@ -84,13 +82,14 @@ def label_consistency_loss(
     """Mean H(target, prediction) over the confident unlabeled nodes plus
     mean H(one-hot, prediction) over the labeled nodes.
 
-    The target must already be detached; labeled nodes always use their
-    one-hot label rows as targets, never the SNN row.
+    `labels` holds class ids. The target must already be detached; labeled
+    nodes always use the one-hot rows of their labels as targets, never the
+    SNN row.
     """
     if p_target.requires_grad:
         raise NumericsError("label consistency target must be tape-detached")
     labeled_term = tape.cross_entropy_rows(
-        labels[labeled], tape.gather_rows(p_pred, labeled)
+        np.eye(p_pred.data.shape[1])[labels[labeled]], tape.gather_rows(p_pred, labeled)
     )
     if len(v_conf) == 0:
         return labeled_term
@@ -102,8 +101,10 @@ def label_consistency_loss(
 
 def supervised_loss(tape: Tape, logits: Tensor, labels: np.ndarray,
                     labeled: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy over the labeled nodes."""
-    return tape.softmax_cross_entropy(tape.gather_rows(logits, labeled), labels[labeled])
+    """Mean softmax cross-entropy over the labeled nodes; `labels` holds
+    class ids."""
+    return tape.softmax_cross_entropy(tape.gather_rows(logits, labeled),
+                                      np.eye(logits.data.shape[1])[labels[labeled]])
 
 
 def total_loss(tape: Tape, l_nc: Tensor, l_lc: Tensor, l_sup: Tensor,

@@ -59,12 +59,10 @@ def random_dataset(
     empty = np.flatnonzero(features.sum(axis=1) == 0)
     features[empty, (classes[empty] * block) % num_features] = 1.0
 
-    labels = np.zeros((n, num_classes))
-    labels[np.arange(n), classes] = 1.0
     return GraphDataset(
         adj=SparseAdjacency.from_edges(n, edges),
         features=features,
-        labels=labels,
+        labels=classes,
         class_count=num_classes,
         name=name,
     )

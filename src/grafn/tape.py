@@ -53,10 +53,6 @@ class Tensor:
     def grad(self, g: np.ndarray | None) -> None:
         self._slot.grad = g
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 

@@ -121,7 +121,6 @@ def build_step_loss(
     then returns it frozen, because finite differences of the step objective
     must hold the stop-gradient branch constant, exactly as the optimizer sees it.
     """
-    label_ids = ds.label_ids()
     tape.new_step()
 
     adj_w, x_w = augment_view(ds.adj, features, cfg.weak_feature_mask, cfg.weak_edge_drop,
@@ -134,7 +133,7 @@ def build_step_loss(
     u_s = tape.normalize_rows(z_s)
     l_nc = node_consistency_loss(tape, u_s, u_w)
 
-    support = sample_support(split, label_ids, ds.class_count, rng)
+    support = sample_support(split, ds.labels, ds.class_count, rng)
     p_pred = snn_distribution(tape, u_s, support, cfg.tau)
     p_target = (snn_distribution(tape, tape.detach(u_w), support, cfg.tau) if target is None
                 else target(tape, snn_distribution(tape, u_w, support, cfg.tau)))
@@ -218,7 +217,6 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     adam = AdamState(tape.parameters)
     features = prepare_features(ds, cfg)
     adj_clean = normalize_adjacency(ds.adj)
-    label_ids = ds.label_ids()
     unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
 
     history: list[tuple[float, float, float, float]] = []
@@ -238,14 +236,14 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
             raise DivergenceError(
                 f"non-finite total loss at epoch {epoch}", history=history
             )
-        pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, label_ids)
-        val_acc = float(np.mean(pred[split.val] == label_ids[split.val]))
+        pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, ds.labels)
+        val_acc = float(np.mean(pred[split.val] == ds.labels[split.val]))
         val_history.append(val_acc)
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
             best_params = {name: p.data.copy() for name, p in tape.parameters.items()}
-            test_acc = float(np.mean(pred[split.test] == label_ids[split.test]))
+            test_acc = float(np.mean(pred[split.test] == ds.labels[split.test]))
 
     return RunResult(
         best_val_accuracy=best_val,

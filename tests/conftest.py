@@ -9,17 +9,15 @@ from grafn.sparse_features import SparseFeatures
 def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=None,
                  name="toy"):
     """Hand-rolled dataset helper for small exact-value tests."""
-    label_ids = np.asarray(label_ids)
+    label_ids = np.asarray(label_ids, dtype=np.int64)
     if features is None:
         num_features = num_features or num_classes
         features = np.zeros((n, num_features))
         features[np.arange(n), label_ids % num_features] = 1.0
-    labels = np.zeros((n, num_classes))
-    labels[np.arange(n), label_ids] = 1.0
     return GraphDataset(
         adj=SparseAdjacency.from_edges(n, edges),
         features=np.asarray(features, dtype=np.float64),
-        labels=labels,
+        labels=label_ids,
         class_count=num_classes,
         name=name,
     )

@@ -646,6 +646,13 @@ def test_gradcheck_smallest_size_passes(capsys, seed):
     assert "gradient check passed" in capsys.readouterr().out
 
 
+def test_gradcheck_failure_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "finite_diff_check", lambda tape, build: 1.0)
+    assert run(["gradcheck", "--size", "8"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: gradient check failed: 1.000e+00 >= 1e-04\n")
+
+
 # ---------------------------------------------------------------------------
 # environment root
 

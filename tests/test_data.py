@@ -102,6 +102,56 @@ def test_load_rejects_meta_that_is_not_an_object(tmp_path):
         load_dataset(d)
 
 
+def test_load_rejects_invalid_meta_json(tmp_path):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 1])
+    (tmp_path / "toy" / "meta.json").write_text("{")
+    try:
+        json.loads("{")
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    message = f"{tmp_path / 'toy' / 'meta.json'}: invalid JSON ({reason})"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_dataset(d)
+
+
+def test_load_rejects_meta_missing_key(tmp_path):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 1])
+    (tmp_path / "toy" / "meta.json").write_text(
+        json.dumps({"name": "toy", "num_nodes": 2, "num_features": 1}))
+    with pytest.raises(DataError, match=r"meta.json: missing key 'num_classes'$"):
+        load_dataset(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_nodes", 0), ("num_features", -1), ("num_classes", 0),
+])
+def test_load_rejects_non_positive_meta(tmp_path, key, value):
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 1], meta={key: value})
+    with pytest.raises(DataError, match=r"meta.json: N, F, C must be positive$"):
+        load_dataset(d)
+
+
+def test_every_constructor_holds_class_ids(tmp_path, monkeypatch):
+    """`labels` is an N-vector of int64 class ids, never an N x C matrix."""
+    built = [random_dataset(20, seed=1), make_dataset(3, [], [0, 1, 1], 2)]
+    d = write_toy_dir(tmp_path / "toy", [(0, 1)], [[1.0], [1.0], [0.0]], [1, 0, 1])
+    built.append(load_dataset(d))  # the array path
+    (tmp_path / "toy" / "labels.txt").write_text("1\r\n0\n1\n")
+    built.append(load_dataset(d))  # the per-line path
+    monkeypatch.setattr(data, "write_dataset", lambda ds, *args, **kw: built.append(ds))
+    (tmp_path / "x.content").write_text("a 1 0 ml\nb 0 1 db\nc 1 1 ml\n")
+    (tmp_path / "x.cites").write_text("a b\n")
+    convert_content_cites(str(tmp_path / "x.content"), str(tmp_path / "x.cites"),
+                          str(tmp_path / "out"))
+    assert len(built) == 5
+    for ds in built:
+        assert ds.labels.dtype == np.int64 and ds.labels.shape == (ds.num_nodes,)
+        assert 0 <= ds.labels.min() and ds.labels.max() < ds.class_count
+        assert ds.label_ids() is ds.labels
+    for ds in built[2:]:
+        np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+
+
 def test_load_rejects_wrong_feature_arity(tmp_path):
     d = write_toy_dir(tmp_path / "toy", [], [[1.0], [1.0]], [0, 0])
     (tmp_path / "toy" / "features.tsv").write_text("1.0\n1.0\t2.0\n")
@@ -211,10 +261,12 @@ def test_write_load_roundtrip_is_identity(tmp_path):
      "f52c8778862671a1"),
 ], ids=["synthetic300", "gradcheck"])
 def test_random_dataset_bytes_are_pinned(kwargs, prefix):
-    """SHA-256 of the adjacency's CSR arrays, the features and the labels."""
+    """SHA-256 of the adjacency's CSR arrays, the features and the one-hot
+    rows of the labels."""
     ds = random_dataset(**kwargs)
     h = hashlib.sha256()
-    for a in (ds.adj.csr.indptr, ds.adj.csr.indices, ds.adj.csr.data, ds.features, ds.labels):
+    for a in (ds.adj.csr.indptr, ds.adj.csr.indices, ds.adj.csr.data, ds.features,
+              np.eye(ds.class_count)[ds.labels]):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest()[:16] == prefix
 
@@ -274,6 +326,22 @@ def test_convert_rejects_non_finite_feature(tmp_path):
     (tmp_path / "x.cites").write_text("")
     with pytest.raises(DataError, match="node 1 feature 1 is not finite: inf"):
         convert_content_cites(str(content), str(tmp_path / "x.cites"), str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, cites, where, message", [
+    ("a 1 0 ml\nb ml\n", "", "content", ":2: too few fields"),
+    ("a 1 0 ml\nb 0 x db\n", "", "content", ":2: could not convert string to float: 'x'"),
+    ("\n", "", "content", ": no nodes"),
+    ("a 1 ml\nb 0 db\n", "a b\nb\n", "cites", ":2: expected '<cited> <citing>'"),
+], ids=["too-few-fields", "non-float-feature", "empty-content", "one-field-cites"])
+def test_convert_rejects_malformed_input(tmp_path, content, cites, where, message):
+    paths = {"content": tmp_path / "x.content", "cites": tmp_path / "x.cites"}
+    paths["content"].write_text(content)
+    paths["cites"].write_text(cites)
+    with pytest.raises(DataError, match=f"^{re.escape(str(paths[where]) + message)}$"):
+        convert_content_cites(str(paths["content"]), str(paths["cites"]),
+                              str(tmp_path / "o"))
     assert not (tmp_path / "o").exists()
 
 
@@ -373,6 +441,21 @@ def test_split_rate_too_small_for_classes():
     ds = make_dataset(100, [(0, 1)], np.arange(100) % 5, 5)
     with pytest.raises(DataError, match="fewer than 5 classes"):
         generate_splits(ds, 0.02, 1, 0)  # round(2) < 5
+
+
+def test_split_rejects_class_without_nodes():
+    ds = make_dataset(20, [(0, 1)], np.arange(20) % 2, 3)
+    with pytest.raises(DataError, match="^class 2 has no nodes$"):
+        generate_splits(ds, 0.2, 1, 0)
+
+
+def test_split_hands_excess_of_a_small_class_on():
+    """Class sizes (1, 1, 11) at rate 0.6: 8 labeled nodes apportion to
+    (2, 1, 5), and class 0's excess node goes to class 2."""
+    ds = make_dataset(13, [(0, 1)], [0, 1] + [2] * 11, 3)
+    split = generate_splits(ds, 0.6, 1, 0)[0]
+    np.testing.assert_array_equal(np.bincount(ds.labels[split.labeled]), [1, 1, 6])
+    assert len(split.val) == 1 and len(split.test) == 4
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0, 1.5, -0.1, float("nan")])

@@ -169,6 +169,38 @@ def test_benchmark_parallel_matches_sequential(bench_ds):
     assert seq.to_dict() == par.to_dict()
 
 
+@pytest.mark.parametrize("jobs, n_splits, workers", [(64, 2, 2), (2, 3, 2)])
+def test_benchmark_starts_at_most_one_worker_per_split(bench_ds, monkeypatch, jobs, n_splits,
+                                                       workers):
+    """The pool is sized min(jobs, n_splits). The recording pool maps in
+    this process, so no worker starts."""
+    import multiprocessing.context
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool",
+                        lambda ctx, *args, **kw: RecordingPool(*args, **kw))
+    monkeypatch.setattr(evaluation, "_WORKER_CTX", {})
+    cfg = bench_cfg(max_epochs=4)
+    par = run_benchmark(bench_ds, 0.1, n_splits, cfg, base_seed=3, jobs=jobs)
+    assert sizes == [workers]
+    assert par.to_dict() == run_benchmark(bench_ds, 0.1, n_splits, cfg, base_seed=3).to_dict()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_benchmark_error_names_split_seed(bench_ds, monkeypatch, jobs):
     supervised_loss = trainer.supervised_loss

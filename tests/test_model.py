@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafn import DataError, TrainConfig, load_checkpoint, predict, save_checkpoint
+from grafn import (DataError, NumericsError, TrainConfig, load_checkpoint, predict,
+                   save_checkpoint)
 from grafn.gradcheck import finite_diff_check
 from grafn.model import build_from_checkpoint, embed, init_params
 from grafn.objective import SupportSet, snn_distribution
@@ -243,6 +244,13 @@ def test_checkpoint_magic_prefix(tmp_path):
     save_checkpoint(path, {"enc.w1": np.zeros((1, 1))})
     with open(path, "rb") as fh:
         assert fh.read(6) == b"GRAFN1"
+
+
+def test_checkpoint_rejects_non_2d_parameter_before_writing(tmp_path):
+    path = tmp_path / "model.bin"
+    with pytest.raises(NumericsError, match="^checkpoint parameter 'bad' must be 2-d$"):
+        save_checkpoint(str(path), {"enc.w1": np.ones((2, 2)), "bad": np.ones(3)})
+    assert not path.exists()
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):

@@ -1,0 +1,36 @@
+"""Smoke tests for the helper scripts under scripts/."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from grafn import load_dataset, random_dataset
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_make_synthetic_writes_random_dataset(tmp_path):
+    """The written directory loads back to `random_dataset`'s graph."""
+    out = tmp_path / "synth40"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_synthetic.py"), str(out),
+         "--nodes", "40", "--classes", "4", "--features", "16", "--seed", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    expected = random_dataset(40, num_classes=4, num_features=16, p_in=0.04, p_out=0.008,
+                              feature_signal=0.25, feature_noise=0.06, seed=3,
+                              name="synthetic40")
+    back = load_dataset(str(out))
+    assert back.name == expected.name and back.class_count == 4
+    assert back.labels.dtype == np.int64
+    np.testing.assert_array_equal(back.labels, expected.labels)
+    assert back.features.tobytes() == expected.features.tobytes()
+    np.testing.assert_array_equal(back.adj.undirected_edge_list(),
+                                  expected.adj.undirected_edge_list())
+    assert proc.stdout == (f"wrote synthetic40: 40 nodes, {expected.adj.num_undirected_edges} "
+                           f"edges, 4 classes -> {out}\n")

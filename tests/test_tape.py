@@ -14,6 +14,7 @@ from grafn import NumericsError
 from grafn.sparse import SparseAdjacency
 from grafn.tape import Tape, Tensor
 from grafn.gradcheck import finite_diff_check
+from tests.conftest import sparse_features
 
 
 def rand(rng, *shape):
@@ -103,6 +104,12 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_shape_mismatch():
     with pytest.raises(NumericsError, match="matmul shape mismatch"):
         Tape().matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_matmul_sparse_features_shape_mismatch():
+    x = sparse_features(np.eye(3))
+    with pytest.raises(NumericsError, match=r"^matmul shape mismatch: \(3, 3\) @ \(2, 2\)$"):
+        Tape().matmul(x, np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
