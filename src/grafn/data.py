@@ -137,6 +137,13 @@ def _read_text(path: str) -> str:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
+def _lines(path: str):
+    """(line number, stripped line) for each non-blank line of the file."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if line := line.strip():
+            yield lineno, line
+
+
 def _int(text: str) -> int:
     """int() of ASCII sign and digits: like numpy's reader in features.tsv, it
     rejects the digit-grouping '1_0' and non-ASCII digits that int() takes."""
@@ -178,37 +185,29 @@ def _read_features(path: str, n: int, f: int) -> tuple[np.ndarray, bool]:
 
 
 def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
-    """One pass checks the row and column counts, numpy's reader parses the
-    rows before the first structural fault, and the first fault in file order
-    is raised."""
+    """numpy's reader parses the non-empty rows; a file it rejects, or one of
+    the wrong shape, is walked row by row and its first fault raised."""
     text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
-    fault = None
+    # numpy strips \x1c-\x1f around a cell, float() does not; numpy warns on no rows
+    if rows and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(ValueError):
+            features = np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
+                                  ndmin=2)
+            if features.shape == (n, f):
+                return features
     for i, (lineno, line) in enumerate(rows):
         cols = line.count("\t") + 1
-        if i == n or cols != f:
-            fault = (f"{path}: more than {n} feature rows" if i == n
-                     else f"{path}:{lineno}: expected {f} columns, got {cols}")
-            del rows[i:]
-            break
-    try:
-        if any(c in text for c in "\x1c\x1d\x1e\x1f"):  # numpy strips these, float() does not
-            raise ValueError
-        features = (np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
-                               ndmin=2) if rows else None)
-    except ValueError:
-        for lineno, line in rows:  # float()'s own message for a cell it rejects
-            try:
-                [float(v) for v in line.split("\t")]
-                np.loadtxt([line], delimiter="\t", comments=None)  # float() also takes '1_0'
-            except ValueError as exc:  # numpy's "row 0" counts within this one line
-                message = str(exc).replace(" at row 0,", " at")
-                raise DataError(f"{path}:{lineno}: {message}") from None
-    if fault:
-        raise DataError(fault)
-    if len(rows) != n:
-        raise DataError(f"{path}: expected {n} rows, got {len(rows)}")
-    return features
+        if i == n:
+            raise DataError(f"{path}: more than {n} feature rows")
+        if cols != f:
+            raise DataError(f"{path}:{lineno}: expected {f} columns, got {cols}")
+        try:  # float()'s own message for a cell it rejects
+            [float(v) for v in line.split("\t")]
+            np.loadtxt([line], delimiter="\t", comments=None)  # float() also takes '1_0'
+        except ValueError as exc:  # numpy's "row 0" counts within this one line
+            raise DataError(f"{path}:{lineno}: " + str(exc).replace(" at row 0,", " at")) from None
+    raise DataError(f"{path}: expected {n} rows, got {len(rows)}")
 
 
 def load_dataset(directory: str) -> GraphDataset:
@@ -237,10 +236,7 @@ def load_dataset(directory: str) -> GraphDataset:
     label_ids = _int_array(labels_path, 1)
     if label_ids is None or len(label_ids) != n or label_ids.max() >= c:  # walk to the fault
         label_ids = []
-        for lineno, line in enumerate(_read_text(labels_path).split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in _lines(labels_path):
             if len(label_ids) == n:
                 raise DataError(f"{labels_path}: more than {n} label lines")
             try:
@@ -257,10 +253,7 @@ def load_dataset(directory: str) -> GraphDataset:
     edges = _int_array(edges_path, 2)
     if edges is None or not ((edges[:, 1] < n) & (edges[:, 0] < edges[:, 1])).all():
         edges = []
-        for lineno, line in enumerate(_read_text(edges_path).split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in _lines(edges_path):
             parts = line.split()
             if len(parts) != 2:
                 raise DataError(f"{edges_path}:{lineno}: expected 'src dst'")
@@ -337,10 +330,8 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     class_names: list[str] = []
     arity: int | None = None
 
-    for lineno, line in enumerate(_read_text(content_path).split("\n"), start=1):
+    for lineno, line in _lines(content_path):
         parts = line.split()
-        if not parts:
-            continue
         if len(parts) < 3:
             raise DataError(f"{content_path}:{lineno}: too few fields")
         node_id, cls = parts[0], parts[-1]
@@ -368,33 +359,19 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     n = len(node_order)
 
     raw_lines = 0
-    dangling = 0
-    self_loops = 0
-    pairs: set[tuple[int, int]] = set()
-    duplicates = 0
-    for lineno, line in enumerate(_read_text(cites_path).split("\n"), start=1):
+    pairs = []  # (i, j) of each citation whose ids are both known
+    for lineno, line in _lines(cites_path):
         parts = line.split()
-        if not parts:
-            continue
         if len(parts) != 2:
             raise DataError(f"{cites_path}:{lineno}: expected '<cited> <citing>'")
         raw_lines += 1
-        a, b = parts
-        if a not in node_index or b not in node_index:
-            dangling += 1
-            continue
-        i, j = node_index[a], node_index[b]
-        if i == j:
-            self_loops += 1
-            continue
-        pair = (min(i, j), max(i, j))
-        if pair in pairs:
-            duplicates += 1
-        else:
-            pairs.add(pair)
+        if parts[0] in node_index and parts[1] in node_index:
+            pairs.append((node_index[parts[0]], node_index[parts[1]]))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
 
     ds = GraphDataset(
-        adj=SparseAdjacency.from_edges(n, sorted(pairs)),
+        adj=SparseAdjacency.from_edges(n, pairs[~loops]),
         features=np.asarray(feat_rows, dtype=np.float64),
         labels=np.array([class_to_idx[cls] for cls in class_names], dtype=np.int64),
         class_count=len(classes),
@@ -406,10 +383,10 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
         "num_features": int(ds.num_features),
         "num_classes": len(classes),
         "raw_edge_lines": raw_lines,
-        "undirected_edges": len(pairs),
-        "dropped_dangling": dangling,
-        "dropped_self_loops": self_loops,
-        "collapsed_duplicates": duplicates,
+        "undirected_edges": ds.adj.num_undirected_edges,
+        "dropped_dangling": raw_lines - len(pairs),
+        "dropped_self_loops": int(loops.sum()),
+        "collapsed_duplicates": int((~loops).sum()) - ds.adj.num_undirected_edges,
         "class_names": classes,
     }
     write_dataset(ds, out_dir, extra_meta={"converter": summary})

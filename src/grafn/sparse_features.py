@@ -42,8 +42,6 @@ class SparseFeatures:
         """Dropout over stored values, scaled by 1/(1-p): one draw per stored
         entry, and only the nonzero survivors are stored. Products through
         the dropped zeros would add only +-0 to sums that start at +0."""
-        if p == 0.0:
-            return self
         csr = self._csr
         keep = np.flatnonzero((rng.random(csr.data.shape) >= p) & (csr.data != 0.0))
         return SparseFeatures(sp.csr_matrix(

@@ -14,6 +14,11 @@ as the oracle of its byte path for +0.0/1.0 matrices.
 labels.txt and graph.edges. The loader reads canonical files as arrays and
 walks every other file line by line; either way it must give the same arrays
 or the same message.
+
+`ref_convert_cites` is the former set-based cites loop of
+`convert_content_cites`. The converter de-duplicates with
+`SparseAdjacency.from_edges` and derives its counts from arrays; it must give
+the same summary, the same graph.edges bytes or the same message.
 """
 
 import json
@@ -26,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import DataError
-from grafn.data import _read_features, load_dataset, write_dataset
+from grafn.data import _read_features, convert_content_cites, load_dataset, write_dataset
 from grafn.sparse import SparseAdjacency
 from tests.conftest import make_dataset
 
@@ -163,6 +168,8 @@ CASES = {
     "bad cell before surplus row": ("1\nx\n2\n", 1, 1),
     "0.0/1.0 cells": ("1.0\t0.0\t0.0\n0.0\t0.0\t1.0\n", 2, 3),
     "0.0/1.0 cells, rows of F+1 and F-1": ("1.0\t0.0\t0.0\n0.0\n", 2, 2),
+    "every row has F+1 cells": ("1\t2\t3\n4\t5\t6\n", 2, 2),
+    "every row has F-1 cells": ("1\n2\n", 2, 2),
 }
 
 
@@ -424,4 +431,100 @@ INT_CASES = {
 def test_load_labels_and_edges_match_reference_on_named_cases(tmp_path, case):
     write_int_dir(tmp_path / "ints", 3, 3, *case)
     got, want = load_outcome(tmp_path / "ints", 3, 3)
+    assert got == want
+
+
+def ref_convert_cites(cites_path, node_index):
+    """(edge statistics of the summary, sorted src < dst pairs) as the
+    set-based loop counted and kept them."""
+    raw_lines = 0
+    dangling = 0
+    self_loops = 0
+    pairs = set()
+    duplicates = 0
+    with open(cites_path, encoding="utf-8") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise DataError(f"{cites_path}:{lineno}: expected '<cited> <citing>'")
+        raw_lines += 1
+        a, b = parts
+        if a not in node_index or b not in node_index:
+            dangling += 1
+            continue
+        i, j = node_index[a], node_index[b]
+        if i == j:
+            self_loops += 1
+            continue
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            duplicates += 1
+        else:
+            pairs.add(pair)
+    stats = {
+        "raw_edge_lines": raw_lines,
+        "undirected_edges": len(pairs),
+        "dropped_dangling": dangling,
+        "dropped_self_loops": self_loops,
+        "collapsed_duplicates": duplicates,
+    }
+    return stats, sorted(pairs)
+
+
+NODE_IDS = ["p0", "p1", "p2", "p3", "p4"]
+CONTENT = "".join(f"{node} {k % 2} {k // 2 % 2} {'ab'[k % 2]}\n"
+                  for k, node in enumerate(NODE_IDS))
+CONTENT_SUMMARY = {"num_nodes": 5, "num_features": 2, "num_classes": 2,
+                   "class_names": ["a", "b"]}
+# separators str.split() takes, and lines it reads as blank
+SEPARATORS = st.sampled_from([" "] * 12 + ["\t", "  ", "\xa0", "\x0b", "\x0c", " \xa0 "])
+BLANKS = st.sampled_from(["", " ", "\t", "\xa0", "\x0b", " \x0b\xa0 "])
+
+
+@st.composite
+def cites_file(draw):
+    """Citations between known ids and two dangling ones, so duplicates in
+    both orientations and self-loops are common; blank and whitespace-only
+    lines; now and then a line of 1 or 3 fields; LF, CRLF or CR endings."""
+    ids = st.sampled_from(NODE_IDS[:draw(st.integers(1, 5))] + ["q7", "p00"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["cite"] * 30 + ["blank", "one field", "three fields"]))
+        if kind == "blank":
+            lines.append(draw(BLANKS))
+            continue
+        fields = [draw(ids) for _ in range({"cite": 2, "one field": 1, "three fields": 3}[kind])]
+        lines.append(draw(BLANKS) + draw(SEPARATORS).join(fields) + draw(BLANKS))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def convert_outcome(directory, cites_text):
+    """What `convert_content_cites` and the reference loop make of one cites
+    file: ('ok', summary, graph.edges bytes) or ('error', message)."""
+    content, cites = directory / "raw.content", directory / "raw.cites"
+    content.write_text(CONTENT, encoding="utf-8")
+    cites.write_text(cites_text, encoding="utf-8", newline="")
+    out = directory / "converted"
+    try:
+        summary = convert_content_cites(str(content), str(cites), str(out))
+        got = ("ok", summary, (out / "graph.edges").read_bytes())
+    except DataError as exc:
+        got = ("error", str(exc))
+    try:
+        stats, pairs = ref_convert_cites(str(cites), {node: k for k, node in enumerate(NODE_IDS)})
+        want = ("ok", {**CONTENT_SUMMARY, **stats},
+                "".join(f"{i} {j}\n" for i, j in pairs).encode())
+    except DataError as exc:
+        want = ("error", str(exc))
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(cites_text=cites_file())
+def test_convert_cites_matches_reference(workdir, cites_text):
+    got, want = convert_outcome(workdir, cites_text)
     assert got == want

@@ -34,3 +34,38 @@ def test_make_synthetic_writes_random_dataset(tmp_path):
                                   expected.adj.undirected_edge_list())
     assert proc.stdout == (f"wrote synthetic40: 40 nodes, {expected.adj.num_undirected_edges} "
                            f"edges, 4 classes -> {out}\n")
+
+
+def run_reproduce(data_root, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_benchmarks.py"),
+         "--data-root", str(data_root), "--out", str(tmp_path / "results")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_reproduce_benchmarks_skips_missing_datasets(tmp_path):
+    """With neither converted nor raw data, each dataset is skipped and
+    nothing is trained."""
+    root = tmp_path / "data"
+    root.mkdir()
+    proc = run_reproduce(root, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "".join(
+        f"skipping {name}: no converted dataset at {root / name} and no raw files "
+        f"under {root}/raw/\n" for name in ("cora", "citeseer"))
+    assert not (tmp_path / "results").exists()
+
+
+def test_reproduce_benchmarks_passes_convert_exit_code_through(tmp_path):
+    """A raw content file without its cites file fails `convert` with exit 3,
+    and the script exits 3 too, before any benchmark."""
+    raw = tmp_path / "data" / "raw"
+    raw.mkdir(parents=True)
+    (raw / "cora.content").write_text("p1 1 0 ai\np2 0 1 db\n")
+    proc = run_reproduce(tmp_path / "data", tmp_path)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"+ convert {raw / 'cora.content'} {raw / 'cora.cites'} {tmp_path / 'data' / 'cora'}"]
+    assert "cora.cites" in proc.stderr and not (tmp_path / "data" / "cora").exists()
