@@ -64,7 +64,7 @@ class LinearHead:
     b: Tensor  # 1 x C
 
     def classify(self, tape: Tape, z: Tensor) -> Tensor:
-        return tape.add_bias(tape.matmul(z, self.w), self.b)
+        return tape.add(tape.matmul(z, self.w), self.b)
 
 
 PARAM_NAMES = ("enc.w1", "enc.w2", "head.w", "head.b")  # checkpoint order

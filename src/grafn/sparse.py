@@ -40,10 +40,6 @@ class SparseAdjacency:
     def n(self) -> int:
         return self.csr.shape[0]
 
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
     def _entry_rows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.csr.indptr))
 

@@ -266,24 +266,15 @@ class Tape:
         return self._emit(x.data * c, (x,), backprop)
 
     def add(self, a, b) -> Tensor:
+        """a + b, where `b` has the shape of `a` or is a (1, C) row added to every row."""
         a, b = _wrap(a), _wrap(b)
 
-        def backprop(g, ga=_slot_of(a), gb=_slot_of(b)):
+        def backprop(g, ga=_slot_of(a), gb=_slot_of(b), row=b.data.shape != a.data.shape):
             _accumulate(ga, g)
-            _accumulate(gb, g)
+            if gb:
+                _accumulate(gb, g.sum(axis=0, keepdims=True) if row else g)
 
         return self._emit(a.data + b.data, (a, b), backprop)
-
-    def add_bias(self, x, b) -> Tensor:
-        """x + row-broadcast bias of shape (1, C)."""
-        x, b = _wrap(x), _wrap(b)
-
-        def backprop(g, gx=_slot_of(x), gb=_slot_of(b)):
-            _accumulate(gx, g)
-            if gb:
-                _accumulate(gb, g.sum(axis=0, keepdims=True))
-
-        return self._emit(x.data + b.data, (x, b), backprop)
 
     def mean(self, x) -> Tensor:
         x = _wrap(x)

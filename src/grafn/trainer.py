@@ -61,24 +61,19 @@ class RunResult:
 # optimizer
 
 
-class AdamState:
-    """First/second moment accumulators per parameter name."""
-
-    def __init__(self, params: dict[str, Tensor]):
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-
-
-def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
-                weight_decay: float, step: int) -> None:
+def adam_update(params: dict[str, Tensor], moments: dict[str, tuple[np.ndarray, np.ndarray]],
+                lr: float, weight_decay: float, step: int) -> None:
     """Adam with decoupled weight decay (applied before the moment update),
-    at `step` >= 1 on the gradients `Tape.backward` left on `params`."""
+    at `step` >= 1 on the gradients `Tape.backward` left on `params`.
+    `moments` maps each name to its (m, v); a missing name starts at zero."""
     for name, p in params.items():
         g = p.grad
         if weight_decay:
             p.data = p.data - lr * weight_decay * p.data
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m, v = moments.get(name, (0.0, 0.0))
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        moments[name] = (m, v)
         m_hat = m / (1 - ADAM_BETA1 ** step)
         v_hat = v / (1 - ADAM_BETA2 ** step)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -86,14 +81,6 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
 
 # ---------------------------------------------------------------------------
 # one optimization step
-
-
-@dataclass
-class StepLosses:
-    nc: float
-    lc: float
-    sup: float
-    total: float
 
 
 def build_step_loss(
@@ -107,7 +94,7 @@ def build_step_loss(
     features: np.ndarray | SparseFeatures,
     unlabeled: np.ndarray,
     target: Callable[[Tape, Tensor], Tensor] | None = None,
-) -> tuple[Tensor, StepLosses]:
+) -> tuple[Tensor, tuple[float, float, float, float]]:
     """Assemble the full objective for one step on a fresh tape graph, from
     `prepare_features(ds, cfg)` and the nodes outside `split.labeled`.
 
@@ -144,9 +131,7 @@ def build_step_loss(
     l_sup = supervised_loss(tape, logits, ds.labels, split.labeled)
 
     total = total_loss(tape, l_nc, l_lc, l_sup, cfg.lambda1, cfg.lambda2)
-    parts = StepLosses(nc=l_nc.item(), lc=l_lc.item(), sup=l_sup.item(),
-                       total=total.item())
-    return total, parts
+    return total, (l_nc.item(), l_lc.item(), l_sup.item(), total.item())
 
 
 def train_step(
@@ -156,20 +141,20 @@ def train_step(
     encoder: GcnEncoder,
     head: LinearHead,
     cfg: TrainConfig,
-    adam: AdamState,
+    moments: dict[str, tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
     step_index: int,
     features: np.ndarray | SparseFeatures,
     unlabeled: np.ndarray,
-) -> StepLosses:
-    """Forward, backward, Adam update; returns the step's loss components."""
-    total, parts = build_step_loss(
+) -> tuple[float, float, float, float]:
+    """Forward, backward, Adam update; returns the step's (nc, lc, sup, total)."""
+    total, row = build_step_loss(
         tape, ds, split, encoder, head, cfg, rng,
         features=features, unlabeled=unlabeled,
     )
     tape.backward(total)
-    adam_update(tape.parameters, adam, cfg.learning_rate, cfg.weight_decay, step_index)
-    return parts
+    adam_update(tape.parameters, moments, cfg.learning_rate, cfg.weight_decay, step_index)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +199,7 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
         tape, ds.num_features, cfg.hidden_dim, cfg.embed_dim, ds.class_count,
         cfg.dropout, rng,
     )
-    adam = AdamState(tape.parameters)
+    moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     features = prepare_features(ds, cfg)
     adj_clean = normalize_adjacency(ds.adj)
     unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
@@ -227,12 +212,11 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     test_acc = 0.0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        parts = train_step(
-            tape, ds, split, encoder, head, cfg, adam, rng, epoch,
+        history.append(train_step(
+            tape, ds, split, encoder, head, cfg, moments, rng, epoch,
             features=features, unlabeled=unlabeled,
-        )
-        history.append((parts.nc, parts.lc, parts.sup, parts.total))
-        if not np.isfinite(parts.total):
+        ))
+        if not np.isfinite(history[-1][3]):
             raise DivergenceError(
                 f"non-finite total loss at epoch {epoch}", history=history
             )

@@ -168,7 +168,7 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
                              np.random.default_rng(3))
     adj_norm = normalize_adjacency(ds.adj)
     z = encoder.encode(tape, adj_norm, ds.features, training=False)
-    support = sample_support(split, ds.label_ids(), ds.class_count,
+    support = sample_support(split, ds.labels, ds.class_count,
                              np.random.default_rng(4))
     p_live = snn_distribution(tape, tape.normalize_rows(z), support, tau=0.1)
     # non-uniform constant prediction: a uniform one would make the target
@@ -300,8 +300,8 @@ def test_criterion_07_cora_similarity_search(cora_ds):
     result = fit(cora_ds, split, cfg)
     _, encoder, _ = build_from_checkpoint(result.params)
     z = embed(encoder, normalize_adjacency(cora_ds.adj), prepare_features(cora_ds, cfg))
-    s5 = sim_at_k(z.data, cora_ds.label_ids(), 5)
-    s10 = sim_at_k(z.data, cora_ds.label_ids(), 10)
+    s5 = sim_at_k(z.data, cora_ds.labels, 5)
+    s10 = sim_at_k(z.data, cora_ds.labels, 10)
     report(
         7,
         "Cora embeddings: Sim@5 >= 0.80 and Sim@10 >= 0.77",
@@ -321,7 +321,7 @@ def test_criterion_08_cora_low_degree_gap(cora_ds):
         _, encoder, head = build_from_checkpoint(result.params)
         pred = predict(encoder, head, normalize_adjacency(cora_ds.adj),
                        prepare_features(cora_ds, cfg), variant, split.labeled,
-                       cora_ds.label_ids())
+                       cora_ds.labels)
         rep = degree_accuracy_report(cora_ds, pred, split.test, [2, 4, 7])
         accs[name] = rep["buckets"][0]["accuracy"]
     gap = accs["grafn"] - accs["supervised"]
@@ -462,7 +462,7 @@ def test_analog_similarity_search_on_synthetic(
     sup_cfg, sup_result = synthetic_supervised_run
     z_full, _, _ = _clean_embeddings(synthetic_ds, cfg, result)
     z_sup, _, _ = _clean_embeddings(synthetic_ds, sup_cfg, sup_result)
-    labels = synthetic_ds.label_ids()
+    labels = synthetic_ds.labels
     s5, s10 = sim_at_k(z_full, labels, 5), sim_at_k(z_full, labels, 10)
     sup5 = sim_at_k(z_sup, labels, 5)
     print(f"ANALOG (criterion 7) synthetic: Sim@5 {s5:.4f}, Sim@10 {s10:.4f}, "
@@ -481,7 +481,7 @@ def test_analog_low_degree_gap_on_synthetic(
         _, encoder, head = _clean_embeddings(synthetic_ds, c, r)
         pred = predict(encoder, head, normalize_adjacency(synthetic_ds.adj),
                        prepare_features(synthetic_ds, c), c, synthetic_split.labeled,
-                       synthetic_ds.label_ids())
+                       synthetic_ds.labels)
         rep = degree_accuracy_report(synthetic_ds, pred, synthetic_split.test, [4, 7])
         accs[tag] = rep["buckets"][0]["accuracy"]
     print(f"ANALOG (criterion 8) synthetic low-degree bucket: "

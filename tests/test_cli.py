@@ -285,7 +285,7 @@ def test_bad_split_or_checkpoint_exits_3(data_dir, one_split, trained_dir, tmp_p
     if case in SPLIT_EDITS:
         with open(one_split, encoding="utf-8") as fh:
             obj = json.load(fh)
-        SPLIT_EDITS[case](obj, load_dataset(data_dir).label_ids())
+        SPLIT_EDITS[case](obj, load_dataset(data_dir).labels)
         split.write_text(json.dumps(obj))
     ckpt = os.path.join(trained_dir, "checkpoint.bin")
     if case == "missing checkpoint":

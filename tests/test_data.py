@@ -229,7 +229,7 @@ def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
                  (back.labels, ds.labels), (back.features, ds.features)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     small = load_dataset(str(converted))
-    np.testing.assert_array_equal(small.label_ids(), [1, 0, 1])
+    np.testing.assert_array_equal(small.labels, [1, 0, 1])
     np.testing.assert_array_equal(small.adj.undirected_edge_list(), [[0, 1], [1, 2]])
     for name, text in (("labels.txt", "1\r\n0\n1\n"), ("labels.txt", "+1\n0\n1\n"),
                        ("graph.edges", "0\t1\n1 2\n")):
@@ -291,7 +291,7 @@ def test_convert_isolated_nodes(tmp_path):
     assert summary["num_nodes"] == 3
     assert summary["undirected_edges"] == 0
     ds = load_dataset(str(tmp_path / "out"))
-    assert ds.adj.nnz == 0
+    assert ds.adj.csr.nnz == 0
 
 
 def test_convert_drops_dangling_edge_with_count(tmp_path):
@@ -356,7 +356,7 @@ def test_convert_classes_lexicographic_and_first_appearance_order(tmp_path):
     assert summary["dropped_self_loops"] == 1
     ds = load_dataset(str(tmp_path / "out"))
     # first-appearance order: n9 -> 0, n1 -> 1, n5 -> 2
-    np.testing.assert_array_equal(ds.label_ids(), [1, 0, 1])
+    np.testing.assert_array_equal(ds.labels, [1, 0, 1])
     np.testing.assert_array_equal(ds.adj.undirected_edge_list(), [[0, 1]])
 
 
@@ -434,7 +434,7 @@ def test_split_arithmetic_matches_citation_network_shape():
     splits = generate_splits(ds, 0.005, 3, base_seed=42)
     for split in splits:
         assert len(split.labeled) == 14
-        assert set(ds.label_ids()[split.labeled]) == set(range(7))
+        assert set(ds.labels[split.labeled]) == set(range(7))
 
 
 def test_split_rate_too_small_for_classes():

@@ -325,7 +325,7 @@ def load_outcome(directory, n, c):
     """What `load_dataset` and the reference loop make of one directory."""
     try:
         ds = load_dataset(str(directory))
-        got = arrays(ds.adj, ds.label_ids(), c)
+        got = arrays(ds.adj, ds.labels, c)
     except DataError as exc:
         got = ("error", str(exc))
     try:

@@ -113,7 +113,7 @@ def test_degree_report_star_hub_only_correct():
 
 def test_degree_report_perfect_predictor_and_empty_bucket():
     ds = make_dataset(6, [], [0, 1, 2, 0, 1, 2], 3)
-    report = degree_accuracy_report(ds, ds.label_ids(), np.arange(6), [2, 5])
+    report = degree_accuracy_report(ds, ds.labels, np.arange(6), [2, 5])
     assert report["buckets"][0]["accuracy"] == 1.0       # all nodes: degree 0
     assert report["buckets"][1]["accuracy"] is None      # empty -> null
     assert report["buckets"][2]["accuracy"] is None

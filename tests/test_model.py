@@ -174,7 +174,7 @@ def test_classify_one_hot_head_selects_columns():
 def clean_predict(ds, encoder, head):
     cfg = TrainConfig()
     return predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
-                   cfg, np.arange(ds.num_nodes), ds.label_ids())
+                   cfg, np.arange(ds.num_nodes), ds.labels)
 
 
 def test_predict_tie_breaks_to_lower_class():
@@ -212,9 +212,9 @@ def test_predict_snn_zero_embedding_support_matches_training_distribution():
     labeled = np.array([0, 2, 4, 7])
     features = prepare_features(ds, cfg)
     adj = normalize_adjacency(ds.adj)
-    pred = predict(encoder, head, adj, features, cfg, labeled, ds.label_ids())
+    pred = predict(encoder, head, adj, features, cfg, labeled, ds.labels)
     z = encoder.encode(tape, adj, features, training=False)
-    support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.label_ids()[labeled]])
+    support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.labels[labeled]])
     dist = snn_distribution(tape, tape.normalize_rows(z), support, cfg.tau)
     np.testing.assert_array_equal(pred, np.argmax(dist.data, axis=1))
 

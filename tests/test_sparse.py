@@ -15,7 +15,7 @@ def test_from_edges_materializes_both_directions():
 
 def test_from_edges_collapses_duplicates():
     adj = SparseAdjacency.from_edges(3, [(0, 1), (1, 0), (0, 1)])
-    assert adj.nnz == 2
+    assert adj.csr.nnz == 2
     assert adj.csr.data.max() == 1.0
 
 
@@ -29,7 +29,7 @@ def test_undirected_edge_list_row_major_order():
 def test_degrees_exclude_self_loops():
     """A normalized view stores the diagonal; degrees and edges leave it out."""
     adj = normalize_adjacency(SparseAdjacency.from_edges(3, [(0, 1), (1, 2)]))
-    assert adj.nnz == 7
+    assert adj.csr.nnz == 7
     np.testing.assert_array_equal(adj.degrees(), [1, 2, 1])
     assert adj.num_undirected_edges == 2
     np.testing.assert_array_equal(adj.undirected_edge_list(), [[0, 1], [1, 2]])
@@ -39,7 +39,7 @@ def test_normalized_star_stores_no_zero_and_bottoms_at_hub_diagonal():
     """Every renormalized value is at least 1/(max degree + 1) > 0."""
     n = 6
     adj = normalize_adjacency(SparseAdjacency.from_edges(n, [(0, i) for i in range(1, n)]))
-    assert adj.nnz == n + 2 * (n - 1)
+    assert adj.csr.nnz == n + 2 * (n - 1)
     assert adj.csr.data.min() == pytest.approx(1.0 / n)
     assert adj.csr.data.max() == pytest.approx(0.5)
 

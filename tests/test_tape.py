@@ -43,7 +43,7 @@ def test_spmm_zero_values():
     tape = Tape()
     # explicit zeros, stored at the entries of the path 0-1-2
     adj = SparseAdjacency(sp.csr_matrix((np.zeros(4), [1, 0, 2, 1], [0, 1, 3, 4]), shape=(3, 3)))
-    assert adj.nnz == 4
+    assert adj.csr.nnz == 4
     x = np.ones((3, 2))
     out = tape.spmm(adj, x)
     np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
@@ -265,8 +265,8 @@ def test_quadratic_loss_matches_analytic_gradient():
 
 @pytest.mark.parametrize("op_name", [
     "relu", "normalize_rows", "softmax_rows", "transpose", "gather",
-    "row_dot", "cross_entropy", "softmax_ce", "add_bias", "dropout",
-    "spmm_chain",
+    "row_dot", "cross_entropy", "softmax_ce", "add_row", "add_same_shape",
+    "add_one_row", "dropout", "spmm_chain",
 ])
 def test_each_kernel_gradient(op_name):
     rng = np.random.default_rng(17)
@@ -290,7 +290,12 @@ def test_each_kernel_gradient(op_name):
             targets, tape.softmax_rows(tape.gather_rows(w, np.array([0, 1, 3])))
         ),
         "softmax_ce": lambda: tape.softmax_cross_entropy(w, onehot),
-        "add_bias": lambda: tape.softmax_cross_entropy(tape.add_bias(w, bias_w), onehot),
+        "add_row": lambda: tape.softmax_cross_entropy(tape.add(w, bias_w), onehot),
+        "add_same_shape": lambda: tape.softmax_cross_entropy(tape.add(w, tape.relu(w)), onehot),
+        # the N = 1 head: both (1, C) operands get the gradient unchanged
+        "add_one_row": lambda: tape.softmax_cross_entropy(
+            tape.add(tape.gather_rows(w, np.array([1])), bias_w), onehot[:1]
+        ),
         "dropout": lambda: total(
             tape, tape.dropout(tape.relu(w), 0.4, np.random.default_rng(8))
         ),
