@@ -165,15 +165,21 @@ def _int_array(path: str, per_line: int) -> np.ndarray | None:
 
 def _read_binary_features(path: str, n: int, f: int) -> np.ndarray | None:
     """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings, read from
-    its bytes, 4 per cell, with no full-size temporary; None for any other file."""
+    its bytes, 4 per cell, in row blocks of about 1 MiB into the output; None
+    for any other file."""
     with contextlib.suppress(OSError), open(path, "rb") as fh:
-        raw = fh.read()
-        if len(raw) == 4 * n * f:
-            cells = np.frombuffer(raw, "<u4").reshape(n, f)  # first byte lowest
-            ones = np.frombuffer(b"1.0\t" * (f - 1) + b"1.0\n", "<u4")
-            block = 2**18 // f + 1  # rows of about 1 MiB; b | 1 == '1' only for '0', '1'
-            if all(((cells[i:i + block] | 1) == ones).all() for i in range(0, n, block)):
-                return np.bitwise_and(cells, 1, out=np.empty((n, f)))  # cast as it goes
+        if os.fstat(fh.fileno()).st_size == 4 * n * f:
+            zeros = np.frombuffer(b"0.0\t" * (f - 1) + b"0.0\n", "<u4")  # first byte lowest
+            buf = np.empty((2**18 // f + 1, f), "<u4")
+            out = np.empty((n, f))
+            for i in range(0, n, len(buf)):
+                cells = buf[:n - i]
+                # c ^ zeros is 0 for '0.0' and 1 for '1.0', and above 1 for any other cell
+                if (fh.readinto(cells) != cells.nbytes
+                        or np.bitwise_xor(cells, zeros, out=cells).max() > 1):
+                    return None
+                out[i:i + len(cells)] = cells
+            return out
     return None
 
 

@@ -24,9 +24,8 @@ class SparseFeatures:
                       values: np.ndarray) -> "SparseFeatures":
         """CSR of the matrix whose nonzeros sit at the sorted row-major
         `positions`; byte for byte `sp.csr_matrix` of that dense matrix."""
-        rows, cols = np.divmod(positions, shape[1])
-        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))
-        return cls(sp.csr_matrix((values, cols, indptr), shape))
+        indptr = np.searchsorted(positions, np.arange(shape[0] + 1) * shape[1])
+        return cls(sp.csr_matrix((values, positions % shape[1], indptr), shape))
 
     @property
     def shape(self):

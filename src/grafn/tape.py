@@ -61,6 +61,20 @@ class Tensor:
 
 
 def _accumulate(slot, g: np.ndarray) -> None:
+    """Add `g`, an array the calling backward has just made, to the slot's
+    gradient; a sum is made in place in `g`."""
+    if slot is not None:
+        if slot.grad is None:
+            slot.grad = g
+        elif g.ndim:
+            slot.grad = np.add(slot.grad, g, out=g)
+        else:  # a 0-d product is a numpy scalar, which takes no out=
+            slot.grad = slot.grad + g
+
+
+def _pass_on(slot, g: np.ndarray) -> None:
+    """`_accumulate` for an upstream gradient or a view of it, which other
+    slots may hold: a sum is a new array."""
     if slot is not None:
         slot.grad = g if slot.grad is None else slot.grad + g
 
@@ -192,12 +206,14 @@ class Tape:
         x = _wrap(x)
         if p == 0.0:
             return x
-        scale = (rng.random(x.data.shape) >= p) / (1.0 - p)
+        keep = rng.random(x.data.shape) >= p
 
-        def backprop(g, gx=x._slot, scale=scale):
-            _accumulate(gx, g * scale)
+        def backprop(g, gx=x._slot, keep=keep):
+            scale = keep / (1.0 - p)
+            _accumulate(gx, np.multiply(g, scale, out=scale))
 
-        return self._emit(x.data * scale, (x,), backprop)
+        scale = keep / (1.0 - p)
+        return self._emit(np.multiply(x.data, scale, out=scale), (x,), backprop)
 
     def row_dot(self, x, y) -> Tensor:
         """Per-row inner product; returns a length-N vector."""
@@ -222,8 +238,12 @@ class Tape:
         u = x.data / safe
 
         def backprop(g, gx=x._slot, safe=safe, u=u, live=live):
-            _accumulate(gx, (g - np.sum(g * u, axis=1, keepdims=True) * u) / safe
-                        * live[:, None])
+            # (g - sum(g * u) * u) / safe * live, step by step in one buffer
+            buf = g * u
+            np.multiply(np.sum(buf, axis=1, keepdims=True), u, out=buf)
+            np.subtract(g, buf, out=buf)
+            np.divide(buf, safe, out=buf)
+            _accumulate(gx, np.multiply(buf, live[:, None], out=buf))
 
         return self._emit(u, (x,), backprop)
 
@@ -231,7 +251,7 @@ class Tape:
         x = _wrap(x)
 
         def backprop(g, gx=x._slot):
-            _accumulate(gx, g.T)
+            _pass_on(gx, g.T)
 
         return self._emit(np.ascontiguousarray(x.data.T), (x,), backprop)
 
@@ -270,9 +290,9 @@ class Tape:
         a, b = _wrap(a), _wrap(b)
 
         def backprop(g, ga=_slot_of(a), gb=_slot_of(b), row=b.data.shape != a.data.shape):
-            _accumulate(ga, g)
+            _pass_on(ga, g)
             if gb:
-                _accumulate(gb, g.sum(axis=0, keepdims=True) if row else g)
+                _pass_on(gb, g.sum(axis=0, keepdims=True) if row else g)
 
         return self._emit(a.data + b.data, (a, b), backprop)
 

@@ -167,17 +167,28 @@ def prepare_features(ds: GraphDataset, cfg: TrainConfig):
 
     Only the raw nonzeros are divided by their row norms, and a quotient
     that underflows to zero is dropped, so the CSR holds exactly the nonzeros
-    of the normalized matrix without building it densely."""
+    of the normalized matrix without building it densely. Both passes walk
+    blocks of about 1 MiB of rows, so no N x F temporary is made; the norms
+    are the per-row sums of np.linalg.norm(x, axis=1)."""
     x = ds.features
-    norms = np.linalg.norm(x, axis=1)
+    f = x.shape[1]
+    rows = 2**17 // f + 1
+    blocks = range(0, len(x), rows)
+    norms = np.concatenate([np.sqrt(np.add.reduce(x[i:i + rows] * x[i:i + rows], axis=1))
+                            for i in blocks])
     norms[norms == 0.0] = 1.0
-    nonzero = np.flatnonzero(x != 0.0)
-    values = x.ravel()[nonzero] / norms[nonzero // x.shape[1]]
-    kept = values != 0.0
-    nonzero, values = nonzero[kept], values[kept]
-    if nonzero.size / x.size <= 0.05:
-        return SparseFeatures.from_nonzeros(x.shape, nonzero, values)
-    return x / norms[:, None]
+    positions, values, count = [], [], 0
+    for i in blocks:
+        nonzero = np.flatnonzero(x[i:i + rows] != 0.0)  # faster than on the floats
+        quotients = x[i:i + rows].take(nonzero) / norms[i + nonzero // f]
+        kept = quotients != 0.0
+        positions.append(nonzero[kept] + i * f)
+        values.append(quotients[kept])
+        count += len(values[-1])
+        if count / x.size > 0.05:  # the count only grows: the result is dense
+            return x / norms[:, None]
+    positions, values = np.concatenate(positions), np.concatenate(values)  # frees the blocks
+    return SparseFeatures.from_nonzeros(x.shape, positions, values)
 
 
 # ---------------------------------------------------------------------------

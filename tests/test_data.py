@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def test_binary_features_are_read_without_numpys_reader(tmp_path, monkeypatch):
     tsv.write_text("0.5" + tsv.read_text()[3:])  # same size, one cell not 0/1
     with pytest.raises(AssertionError, match="np.loadtxt called"):
         load_dataset(str(tmp_path / "written"))
+
+
+def test_binary_features_load_within_a_block_of_the_output(tmp_path):
+    """A 0/1 features.tsv of eight 1 MiB blocks loads at a traced peak under
+    the N x F float64 output plus 2 MiB: the file is read a block at a time
+    into the output, never whole."""
+    n, f = 1000, 2000
+    x = (np.random.default_rng(0).random((n, f)) < 0.02).astype(np.float64)
+    write_dataset(make_dataset(n, [(0, 1)], [0] * n, 1, features=x), str(tmp_path))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == x.tobytes()
+    assert peak < n * f * 8 + 2 * 2**20
 
 
 def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):

@@ -10,6 +10,15 @@ from their bytes, and near misses of them are drawn too.
 `ref_write_features` is the former per-cell writer of `write_dataset`, kept
 as the oracle of its byte path for +0.0/1.0 matrices.
 
+`ref_read_binary_features` is the former whole-file byte reader of '0.0'/'1.0'
+files. The loader reads such files in row blocks of about 1 MiB; files over
+several blocks, near misses in a later block and short reads must give the
+same bytes or the same refusal.
+
+`ref_prepare_features` is the former body of `trainer.prepare_features`, with
+np.linalg.norm over the whole matrix and one N x F nonzero mask. The blocked
+version must give the same CSR arrays or the same dense bytes.
+
 `ref_read_labels_edges` is the former per-line loop of `load_dataset` over
 labels.txt and graph.edges. The loader reads canonical files as arrays and
 walks every other file line by line; either way it must give the same arrays
@@ -24,15 +33,25 @@ the same summary, the same graph.edges bytes or the same message.
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafn import DataError
-from grafn.data import _read_features, convert_content_cites, load_dataset, write_dataset
+from grafn import DataError, TrainConfig
+from grafn.data import (
+    _read_binary_features,
+    _read_features,
+    convert_content_cites,
+    load_dataset,
+    write_dataset,
+)
 from grafn.sparse import SparseAdjacency
+from grafn.sparse_features import SparseFeatures
+from grafn.trainer import prepare_features
 from tests.conftest import make_dataset
 
 
@@ -227,6 +246,196 @@ def test_binary_file_over_several_check_blocks(tmp_path, last_cell):
     path = tmp_path / "features.tsv"
     path.write_text(text, encoding="utf-8", newline="")
     assert outcome(read_features, str(path), n, f) == outcome(ref_read_features, str(path), n, f)
+
+
+def ref_read_binary_features(path, n, f):
+    """The former byte reader: the whole file as one bytes object, checked
+    against '0.0'/'1.0' cells; None for any other file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) == 4 * n * f:
+        cells = np.frombuffer(raw, "<u4").reshape(n, f)
+        ones = np.frombuffer(b"1.0\t" * (f - 1) + b"1.0\n", "<u4")
+        if ((cells | 1) == ones).all():
+            return np.bitwise_and(cells, 1, out=np.empty((n, f)))
+    return None
+
+
+def binary_bytes(bits):
+    """The '0.0'/'1.0' file of a boolean matrix, LF after each row."""
+    f = bits.shape[1]
+    zeros = np.frombuffer(b"0.0\t" * (f - 1) + b"0.0\n", "<u4")
+    return (bits.astype("<u4") | zeros).tobytes()
+
+
+def same_binary_read(path, n, f):
+    got, want = _read_binary_features(str(path), n, f), ref_read_binary_features(str(path), n, f)
+    if want is None:
+        return got is None
+    return got is not None and (got.dtype, got.shape, got.tobytes()) == (
+        want.dtype, want.shape, want.tobytes())
+
+
+def block_rows(f):
+    """Rows per block of the byte reader."""
+    return 2**18 // f + 1
+
+
+# a 3-byte cell or a separator byte away from '0.0\t', '1.0\t', '0.0\n', '1.0\n'
+BAD_CELLS = [b"0.5", b"2.0", b"1.5", b"1,0", b"\x00.0", b"3.0", b"0.1"]
+BAD_SEPARATORS = [b" ", b"\r", b",", b"\x00"]
+BLOCKED_MISSES = ["none", "cell", "separator", "CRLF", "CRLF first row, no final LF",
+                  "no final LF", "byte too many", "row too few"]
+
+
+def blocked_file(rng, n, f, miss, where):
+    """The bytes of n random 0/1 rows with one near miss; `where` in [0, 1)
+    places a bad cell or separator among the cells."""
+    raw = bytearray(binary_bytes(rng.random((n, f)) < 0.3))
+    at = 4 * int(where * n * f)
+    if miss == "cell":
+        raw[at:at + 3] = BAD_CELLS[int(rng.integers(len(BAD_CELLS)))]
+    elif miss == "separator":
+        raw[at + 3:at + 4] = BAD_SEPARATORS[int(rng.integers(len(BAD_SEPARATORS)))]
+    elif miss == "CRLF":
+        raw = raw.replace(b"\n", b"\r\n")
+    elif miss == "CRLF first row, no final LF":  # the size still matches
+        raw = raw[:4 * f - 1] + b"\r" + raw[4 * f - 1:-1]
+    elif miss == "no final LF":
+        raw = raw[:-1]
+    elif miss == "byte too many":
+        raw += b"\n"
+    elif miss == "row too few":
+        raw = raw[:-4 * f]
+    return bytes(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from([1000, 4096, 2**16 - 1]), last=st.floats(0.0, 1.0),
+       miss=st.sampled_from(BLOCKED_MISSES), where=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_binary_reader_over_blocks_matches_reference(workdir, f, last, miss, where, seed):
+    """Files of 3 blocks, the last one full or not, so that most near
+    misses fall in a later block."""
+    n = 2 * block_rows(f) + max(1, round(last * block_rows(f)))
+    path = workdir / "blocked.tsv"
+    path.write_bytes(blocked_file(np.random.default_rng(seed), n, f, miss, where))
+    assert same_binary_read(path, n, f)
+
+
+@pytest.mark.parametrize("miss", BLOCKED_MISSES)
+def test_binary_reader_near_miss_in_last_block(tmp_path, miss):
+    n, f = 3 * block_rows(4096) - 7, 4096
+    path = tmp_path / "features.tsv"
+    path.write_bytes(blocked_file(np.random.default_rng(3), n, f, miss, 1 - 1 / (n * f)))
+    assert same_binary_read(path, n, f)
+    assert (_read_binary_features(str(path), n, f) is None) == (miss != "none")
+
+
+@pytest.mark.parametrize("missing", [1, 5 * 4 * 4096, 20 * 4 * 4096, 150 * 4 * 4096],
+                         ids=["a byte", "5 rows", "the last block", "every row"])
+def test_binary_reader_rejects_a_short_read(tmp_path, monkeypatch, missing):
+    """A file that ends before the size fstat reported, as one that shrinks
+    while it is read."""
+    n, f = 150, 4096  # blocks of 65, 65 and 20 rows
+    path = tmp_path / "features.tsv"
+    path.write_bytes(binary_bytes(np.random.default_rng(4).random((n, f)) < 0.5)[:-missing])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size
+                                                                 + missing))
+    assert _read_binary_features(str(path), n, f) is None
+
+
+def ref_prepare_features(x):
+    """The former body of `prepare_features`, with the former CSR constructor
+    of `SparseFeatures.from_nonzeros`."""
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    nonzero = np.flatnonzero(x != 0.0)
+    values = x.ravel()[nonzero] / norms[nonzero // x.shape[1]]
+    kept = values != 0.0
+    nonzero, values = nonzero[kept], values[kept]
+    if nonzero.size / x.size <= 0.05:
+        rows, cols = np.divmod(nonzero, x.shape[1])
+        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=x.shape[0])))
+        return sp.csr_matrix((values, cols, indptr), x.shape)
+    return x / norms[:, None]
+
+
+def prepared(out):
+    """The bytes and dtypes of a CSR's arrays, or of a dense matrix."""
+    out = out._csr if isinstance(out, SparseFeatures) else out
+    if sp.issparse(out):
+        return ("csr", *((a.dtype.str, a.tobytes()) for a in (out.data, out.indices, out.indptr)))
+    return ("dense", out.dtype.str, out.shape, out.tobytes())
+
+
+# -0.0, subnormals, the smallest normal, and magnitudes whose squares stay finite
+CELL_VALUES = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e150, -3e-150, 0.3, 1.0,
+               -2.5]
+SPECIAL_ROWS = {
+    "all zero": [],
+    "-0.0 only": [(0, -0.0), (1, -0.0)],
+    "NaN": [(0, np.nan), (1, 1.0)],
+    "underflowing quotients": [(0, 5e-324), (1, 2.0), (2, -5e-324)],  # 5e-324 / 2 is 0
+    "subnormal only": [(0, 5e-324), (2, -1e-310)],
+}
+
+
+@st.composite
+def wide_matrix(draw):
+    """An n x f matrix over 1 to 4 blocks of `prepare_features`, at one of a few
+    densities around 5%, with some of `SPECIAL_ROWS` written in."""
+    f = draw(st.sampled_from([1, 7, 48, 2**14 + 3, 2**16]))
+    rows = 2**17 // f + 1
+    n = draw(st.integers(1, 3 * rows + 2)) if rows < 20 else draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.001, 0.03, 0.049, 0.05, 0.051, 0.2, 1.0]))
+    x = np.where(rng.random((n, f)) < density, rng.choice(CELL_VALUES, (n, f)), 0.0)
+    for name in draw(st.lists(st.sampled_from(sorted(SPECIAL_ROWS)), max_size=3)):
+        row = draw(st.integers(0, n - 1))
+        x[row] = 0.0
+        for col, value in SPECIAL_ROWS[name]:
+            x[row, col % f] = value
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=wide_matrix())
+def test_prepare_features_matches_reference(x):
+    ds = make_dataset(len(x), [], [0] * len(x), 1, features=x)
+    assert prepared(prepare_features(ds, TrainConfig())) == prepared(ref_prepare_features(x))
+
+
+def every_20th(start, subnormals=0):
+    """9 rows of 2**16, three blocks: a 1.0 in every 20th cell from `start`,
+    then 5e-324 in the `subnormals` cells after the first few of those,
+    where its quotient underflows to 0."""
+    x = np.zeros(9 * 2**16)
+    x[start::20] = 1.0
+    x[start + 1::20][:subnormals] = 5e-324
+    return x.reshape(9, 2**16)
+
+
+def dense_rows(rows):
+    x = np.zeros((9, 2**16))
+    x[rows] = 0.5
+    return x
+
+
+PREPARE_CASES = {
+    "5% exactly": every_20th(19),
+    "one entry over 5%": every_20th(0),
+    "underflow takes 5.3% to 5%": every_20th(19, subnormals=1966),
+    "dense rows in the last block only": dense_rows(np.s_[7:]),
+    "dense first block": dense_rows(np.s_[:1]),
+}
+
+
+@pytest.mark.parametrize("x", PREPARE_CASES.values(), ids=PREPARE_CASES.keys())
+def test_prepare_features_matches_reference_on_named_cases(x):
+    ds = make_dataset(len(x), [], [0] * len(x), 1, features=x)
+    assert prepared(prepare_features(ds, TrainConfig())) == prepared(ref_prepare_features(x))
 
 
 @st.composite

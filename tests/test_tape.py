@@ -224,6 +224,38 @@ def test_dropped_tape_frees_its_outputs_without_cyclic_gc():
         gc.enable()
 
 
+@pytest.mark.parametrize("fresh_first", [False, True])
+def test_gradient_shared_through_add_is_not_summed_into(fresh_first):
+    """`add` hands one upstream array to both of its inputs. Whether the
+    inputs receive fresh gradients before or after that, no sum is made in
+    the shared array, so neither input's gradient leaks into the other."""
+    tape = Tape()
+    a = tape.parameter(np.ones((2, 3)), "a")
+    b = tape.parameter(np.ones((2, 3)), "b")
+
+    def fresh():
+        return tape.add(tape.scale(a, 5.0), tape.scale(b, 7.0))
+
+    # backward runs the later record first
+    parts = [tape.add(a, b), fresh()] if fresh_first else [fresh(), tape.add(a, b)]
+    tape.backward(total(tape, tape.add(*parts)))
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 6.0))
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 8.0))
+
+
+def test_zero_d_losses_summed_twice():
+    """0-d gradients, which numpy hands back as scalars, add up both through
+    `add` and through a kernel that makes a new one."""
+    tape = Tape()
+    a = tape.parameter(np.ones((2, 2)), "a")
+    b = tape.parameter(np.ones((2, 2)), "b")
+    l1, l2 = tape.mean(a), tape.scale(tape.mean(b), 3.0)
+    twice = tape.scale(l1, 2.0)  # reaches l1 after add(l1, l2) has
+    tape.backward(tape.add(tape.add(twice, l2), tape.add(l1, l2)))
+    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0 / 4))
+    np.testing.assert_array_equal(b.grad, np.full((2, 2), 6.0 / 4))
+
+
 def test_parameter_is_a_tensor_kept_under_its_name():
     tape = Tape()
     w = tape.parameter(np.ones((2, 2)), "w")
