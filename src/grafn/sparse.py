@@ -60,17 +60,12 @@ class SparseAdjacency:
         return np.column_stack([rows[upper], cols[upper]])
 
     @cached_property
-    def _self_looped(self) -> sp.csr_matrix:
-        """A + I, which normalize_adjacency and edge-dropped views start from;
-        read only."""
-        return self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
-
-    @cached_property
     def _view_base(self) -> tuple[int, sp.csr_matrix, np.ndarray]:
         """(m, A + I, edge) for edge-dropped views: `edge` holds each entry's index
-        among the m undirected edges, -1 on the diagonal."""
+        among the m undirected edges, -1 on the diagonal. A + I is built as in
+        normalize_adjacency."""
         upper_keys = self.undirected_edge_list() @ [self.n, 1]
-        mat = self._self_looped
+        mat = self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
         rows, cols = np.repeat(np.arange(self.n), np.diff(mat.indptr)), mat.indices
         key = np.minimum(rows, cols) * self.n + np.maximum(rows, cols)
         return len(upper_keys), mat, np.where(rows == cols, -1, np.searchsorted(upper_keys, key))
@@ -80,7 +75,7 @@ def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """GCN renormalization D^-1/2 (A + I) D^-1/2: with degrees d_i of A + I
     and s_i = d_i^-1/2, each a_ij becomes a_ij * (s_i * s_j), exactly symmetric.
     All outputs lie in (0, 1]."""
-    return _renormalize(adj._self_looped.copy())
+    return _renormalize(adj.csr + sp.identity(adj.n, format="csr", dtype=np.float64))
 
 
 def drop_and_normalize(adj: SparseAdjacency, p: float,

@@ -13,6 +13,10 @@ Conventions:
   - a backward closure holds only the arrays its formula reads and the
     gradient slots of the inputs that carry one, and a record its output's
     slot, so a value dies once its caller drops it;
+  - a backward closure yields (slot, gradient) pairs, each gradient an
+    array it has just made or the upstream gradient or a view of it, and
+    backward() sums them: in place in a new array, never in the upstream
+    one, which other slots may hold;
   - backward consumes the step: it drops each record and each gradient it
     has passed on.
 """
@@ -58,25 +62,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _accumulate(slot, g: np.ndarray) -> None:
-    """Add `g`, an array the calling backward has just made, to the slot's
-    gradient; a sum is made in place in `g`."""
-    if slot is not None:
-        if slot.grad is None:
-            slot.grad = g
-        elif g.ndim:
-            slot.grad = np.add(slot.grad, g, out=g)
-        else:  # a 0-d product is a numpy scalar, which takes no out=
-            slot.grad = slot.grad + g
-
-
-def _pass_on(slot, g: np.ndarray) -> None:
-    """`_accumulate` for an upstream gradient or a view of it, which other
-    slots may hold: a sum is a new array."""
-    if slot is not None:
-        slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _slot_of(t: Tensor):
@@ -137,7 +122,13 @@ class Tape:
             slot, backprop = self._records.pop()
             g, slot.grad = slot.grad, None
             if g is not None:
-                backprop(g)
+                for target, new in backprop(g):
+                    if target.grad is None:
+                        target.grad = new
+                    elif new.ndim and not np.may_share_memory(new, g):
+                        target.grad = np.add(target.grad, new, out=new)
+                    else:  # a 0-d product is a numpy scalar, which takes no out=
+                        target.grad = target.grad + new
         self._step += 1
         for p in self.parameters.values():
             if p.grad is None:
@@ -159,7 +150,7 @@ class Tape:
                 )
 
             def backprop(g, a=a, gb=b._slot):
-                _accumulate(gb, a.grad_right(g))
+                yield gb, a.grad_right(g)
 
             return self._emit(a.matmul(b.data), (b,), backprop)
 
@@ -173,9 +164,9 @@ class Tape:
         def backprop(g, ga=ga, gb=gb, bt=b.data.T if ga else None,
                      at=a.data.T if gb else None):
             if ga:
-                _accumulate(ga, g @ bt)
+                yield ga, g @ bt
             if gb:
-                _accumulate(gb, at @ g)
+                yield gb, at @ g
 
         return self._emit(a.data @ b.data, (a, b), backprop)
 
@@ -190,7 +181,7 @@ class Tape:
         mat = adj.csr
 
         def backprop(g, mat=mat, gx=x._slot):
-            _accumulate(gx, mat @ g)
+            yield gx, mat @ g
 
         return self._emit(mat @ x.data, (x,), backprop)
 
@@ -198,7 +189,7 @@ class Tape:
         x = _wrap(x)
 
         def backprop(g, gx=x._slot, live=x.data > 0.0 if x.requires_grad else None):
-            _accumulate(gx, g * live)
+            yield gx, g * live
 
         return self._emit(np.maximum(x.data, 0.0), (x,), backprop)
 
@@ -210,7 +201,7 @@ class Tape:
 
         def backprop(g, gx=x._slot, keep=keep):
             scale = keep / (1.0 - p)
-            _accumulate(gx, np.multiply(g, scale, out=scale))
+            yield gx, np.multiply(g, scale, out=scale)
 
         scale = keep / (1.0 - p)
         return self._emit(np.multiply(x.data, scale, out=scale), (x,), backprop)
@@ -222,9 +213,9 @@ class Tape:
 
         def backprop(g, gx=gx, gy=gy, xd=x.data if gy else None, yd=y.data if gx else None):
             if gx:
-                _accumulate(gx, g[:, None] * yd)
+                yield gx, g[:, None] * yd
             if gy:
-                _accumulate(gy, g[:, None] * xd)
+                yield gy, g[:, None] * xd
 
         return self._emit(np.einsum("ij,ij->i", x.data, y.data), (x, y), backprop)
 
@@ -243,7 +234,7 @@ class Tape:
             np.multiply(np.sum(buf, axis=1, keepdims=True), u, out=buf)
             np.subtract(g, buf, out=buf)
             np.divide(buf, safe, out=buf)
-            _accumulate(gx, np.multiply(buf, live[:, None], out=buf))
+            yield gx, np.multiply(buf, live[:, None], out=buf)
 
         return self._emit(u, (x,), backprop)
 
@@ -251,7 +242,7 @@ class Tape:
         x = _wrap(x)
 
         def backprop(g, gx=x._slot):
-            _pass_on(gx, g.T)
+            yield gx, g.T
 
         return self._emit(np.ascontiguousarray(x.data.T), (x,), backprop)
 
@@ -262,7 +253,7 @@ class Tape:
         def backprop(g, gx=x._slot, shape=x.data.shape, idx=idx):
             buf = np.zeros(shape)
             np.add.at(buf, idx, g)
-            _accumulate(gx, buf)
+            yield gx, buf
 
         return self._emit(x.data[idx], (x,), backprop)
 
@@ -273,7 +264,7 @@ class Tape:
         s = e / e.sum(axis=1, keepdims=True)
 
         def backprop(g, gx=x._slot, s=s):
-            _accumulate(gx, s * (g - np.sum(g * s, axis=1, keepdims=True)))
+            yield gx, s * (g - np.sum(g * s, axis=1, keepdims=True))
 
         return self._emit(s, (x,), backprop)
 
@@ -281,7 +272,7 @@ class Tape:
         x = _wrap(x)
 
         def backprop(g, gx=x._slot, c=c):
-            _accumulate(gx, g * c)
+            yield gx, g * c
 
         return self._emit(x.data * c, (x,), backprop)
 
@@ -290,9 +281,10 @@ class Tape:
         a, b = _wrap(a), _wrap(b)
 
         def backprop(g, ga=_slot_of(a), gb=_slot_of(b), row=b.data.shape != a.data.shape):
-            _pass_on(ga, g)
+            if ga:
+                yield ga, g
             if gb:
-                _pass_on(gb, g.sum(axis=0, keepdims=True) if row else g)
+                yield gb, g.sum(axis=0, keepdims=True) if row else g
 
         return self._emit(a.data + b.data, (a, b), backprop)
 
@@ -300,7 +292,7 @@ class Tape:
         x = _wrap(x)
 
         def backprop(g, gx=x._slot, shape=x.data.shape, n=x.data.size):
-            _accumulate(gx, np.full(shape, float(g) / n))
+            yield gx, np.full(shape, float(g) / n)
 
         return self._emit(np.asarray(x.data.mean()), (x,), backprop)
 
@@ -321,9 +313,9 @@ class Tape:
                      clipped=clipped if gp else None, logs=logs if gt else None):
             gm = float(g) / m
             if gp:  # p > floor exactly where max(p, floor) > floor
-                _accumulate(gp, -gm * t * (clipped > CE_FLOOR) / clipped)
+                yield gp, -gm * t * (clipped > CE_FLOOR) / clipped
             if gt:
-                _accumulate(gt, -gm * logs)
+                yield gt, -gm * logs
 
         return self._emit(out, (target, pred), backprop)
 
@@ -338,6 +330,6 @@ class Tape:
         out = np.asarray(-(y * log_probs).sum() / m)
 
         def backprop(g, gx=logits._slot, y=y, log_probs=log_probs, m=m):
-            _accumulate(gx, float(g) / m * (np.exp(log_probs) - y))
+            yield gx, float(g) / m * (np.exp(log_probs) - y)
 
         return self._emit(out, (logits,), backprop)

@@ -9,6 +9,7 @@ bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -195,6 +196,19 @@ def prepare_features(ds: GraphDataset, cfg: TrainConfig):
 # the training loop
 
 
+@cache
+def _keep_freed_heap(nbytes: int) -> None:
+    """Free one block of `nbytes`, at most 31 MiB, once per process and size.
+
+    glibc's malloc raises its mmap threshold to the size of a mapped block
+    that is freed (up to 32 MiB) and its trim threshold to twice that. In a
+    fresh process nothing that large has been freed yet: each step's arrays
+    are mapped or come from a heap that the step's end trims, and the next
+    step faults them in again (about 10k page faults per cora-shape epoch).
+    The block is never written, so it holds no memory."""
+    np.empty(min(nbytes, 31 << 20), np.uint8)
+
+
 def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     """Train up to max_epochs steps; report test accuracy at the epoch of
     highest validation accuracy (ties keep the earlier epoch).
@@ -214,6 +228,9 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     features = prepare_features(ds, cfg)
     adj_clean = normalize_adjacency(ds.adj)
     unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
+    # a step frees about ten arrays of N rows at its end; the trim threshold
+    # becomes twice the block
+    _keep_freed_heap(6 * 8 * ds.num_nodes * max(cfg.hidden_dim, cfg.embed_dim, ds.num_features))
 
     history: list[tuple[float, float, float, float]] = []
     val_history: list[float] = []

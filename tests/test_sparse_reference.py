@@ -85,8 +85,6 @@ def test_matches_loop_reference(graph, p, seed):
     view = drop_edges(adj, p, rng)
     assert_same_csr(view, ref_normalize(ref_drop_edges(ref, p, ref_rng)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # both start from one cached A + I, which neither may change
-    assert_same_csr(normalize_adjacency(adj), ref_normalize(ref))
 
     g = np.random.default_rng(seed).standard_normal((n, 3))
     for out in (clean, view):

@@ -15,6 +15,7 @@ from grafn.sparse import SparseAdjacency
 from grafn.tape import Tape, Tensor
 from grafn.gradcheck import finite_diff_check
 from tests.conftest import sparse_features
+from tests.test_trainer import TAPE_KERNELS
 
 
 def rand(rng, *shape):
@@ -224,25 +225,6 @@ def test_dropped_tape_frees_its_outputs_without_cyclic_gc():
         gc.enable()
 
 
-@pytest.mark.parametrize("fresh_first", [False, True])
-def test_gradient_shared_through_add_is_not_summed_into(fresh_first):
-    """`add` hands one upstream array to both of its inputs. Whether the
-    inputs receive fresh gradients before or after that, no sum is made in
-    the shared array, so neither input's gradient leaks into the other."""
-    tape = Tape()
-    a = tape.parameter(np.ones((2, 3)), "a")
-    b = tape.parameter(np.ones((2, 3)), "b")
-
-    def fresh():
-        return tape.add(tape.scale(a, 5.0), tape.scale(b, 7.0))
-
-    # backward runs the later record first
-    parts = [tape.add(a, b), fresh()] if fresh_first else [fresh(), tape.add(a, b)]
-    tape.backward(total(tape, tape.add(*parts)))
-    np.testing.assert_array_equal(a.grad, np.full((2, 3), 6.0))
-    np.testing.assert_array_equal(b.grad, np.full((2, 3), 8.0))
-
-
 def test_zero_d_losses_summed_twice():
     """0-d gradients, which numpy hands back as scalars, add up both through
     `add` and through a kernel that makes a new one."""
@@ -254,6 +236,71 @@ def test_zero_d_losses_summed_twice():
     tape.backward(tape.add(tape.add(twice, l2), tape.add(l1, l2)))
     np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0 / 4))
     np.testing.assert_array_equal(b.grad, np.full((2, 2), 6.0 / 4))
+
+
+_X = np.array([[0.5, 1.5, 0.25], [2.0, 0.75, 1.25], [0.1, 0.2, 3.0], [1.0, 0.5, 0.3]])
+_W = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])
+_P = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5], [0.0, 0.4, 0.6]])
+_ADJ = SparseAdjacency(sp.csr_matrix(np.array(
+    [[0.5, 0.25, 0, 0], [0.25, 0.5, 0.25, 0], [0, 0.25, 0.5, 0.25], [0, 0, 0.25, 0.5]])))
+_SF = sparse_features(np.array([[1.0, 0, 2.0, 0], [0, 0, 0, 3.0], [0.5, 0.5, 0, 0],
+                                [0, 0, 0, 0], [0, 4.0, 0, 1.0]]))
+# every Tape kernel applied to the (4, 3) parameter x; matmul in both forms
+_KERNEL_USES = (
+    ("detach", lambda tape, x: tape.detach(x)),
+    ("matmul", lambda tape, x: tape.matmul(x, _W)),
+    ("matmul", lambda tape, x: tape.matmul(_SF, x)),
+    ("spmm", lambda tape, x: tape.spmm(_ADJ, x)),
+    ("relu", lambda tape, x: tape.relu(tape.add(x, -np.ones((4, 3))))),
+    ("dropout", lambda tape, x: tape.dropout(x, 0.5, np.random.default_rng(3))),
+    ("row_dot", lambda tape, x: tape.row_dot(x, _P)),
+    ("normalize_rows", lambda tape, x: tape.normalize_rows(x)),
+    ("transpose", lambda tape, x: tape.transpose(x)),
+    ("gather_rows", lambda tape, x: tape.gather_rows(x, [0, 2, 2])),
+    ("softmax_rows", lambda tape, x: tape.softmax_rows(x)),
+    ("scale", lambda tape, x: tape.scale(x, 3.0)),
+    ("add", lambda tape, x: tape.add(x, _P)),
+    ("add", lambda tape, x: tape.add(x, x)),
+    ("mean", lambda tape, x: tape.mean(x)),
+    ("cross_entropy_rows", lambda tape, x: tape.cross_entropy_rows(_P, x)),
+    ("softmax_cross_entropy", lambda tape, x: tape.softmax_cross_entropy(x, np.eye(3)[[0, 2, 1, 1]])),
+)
+
+
+def test_kernel_uses_cover_every_kernel():
+    assert {name for name, _ in _KERNEL_USES} == set(TAPE_KERNELS)
+
+
+@pytest.mark.parametrize("kernel_first", [False, True])
+@pytest.mark.parametrize("use", [use for _, use in _KERNEL_USES],
+                         ids=[name for name, _ in _KERNEL_USES])
+def test_every_kernel_keeps_a_shared_upstream_gradient(use, kernel_first):
+    """The kernel's output y enters add(y, c), so its upstream gradient is
+    the array c's gradient holds. Its input x also reaches the loss through
+    scale(x, 2.0), whose gradient arrives after the kernel's or before it.
+    However the two gradients of x are summed, c's gradient and x's sum
+    equal those of two tapes that each hold one path."""
+
+    def paths(tape, x, c, kernel=True, other=True):
+        parts = []
+        for first in (kernel_first, not kernel_first):
+            if first and kernel:
+                y = use(tape, x)
+                c.data = np.zeros_like(y.data) + 0.5
+                parts.append(total(tape, tape.add(y, c)))
+            elif not first and other:
+                parts.append(total(tape, tape.scale(x, 2.0)))
+        return parts[0] if len(parts) == 1 else tape.add(*parts)
+
+    grads = []
+    for kernel, other in ((True, True), (True, False), (False, True)):
+        tape = Tape()
+        x, c = tape.parameter(_X.copy(), "x"), tape.parameter(np.zeros(()), "c")
+        tape.backward(paths(tape, x, c, kernel, other))
+        grads.append((x.grad.copy(), c.grad.copy()))
+    (x_both, c_both), (x_kernel, c_kernel), (x_other, _) = grads
+    np.testing.assert_array_equal(c_both, c_kernel)
+    np.testing.assert_array_equal(x_both, x_kernel + x_other)
 
 
 def test_parameter_is_a_tensor_kept_under_its_name():
@@ -363,10 +410,9 @@ def test_finite_diff_check_detects_broken_gradient():
     def build():
         out = tape.relu(w)
         # splice in an op with a deliberately wrong backward
-        from grafn.tape import _accumulate
 
         def bad_backprop(g, x=out):
-            _accumulate(x, 3.0 * np.full_like(x.data, float(g)))
+            yield x._slot, 3.0 * np.full_like(x.data, float(g))
 
         wrong = tape._emit(np.asarray(out.data.sum()), (out,), bad_backprop)
         return wrong

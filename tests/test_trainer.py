@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -572,6 +573,39 @@ def test_wide_csr_loss_digest_is_pinned():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "bb12384e96d26029\n"
+
+
+STEP_FAULTS_FIT = """
+import resource
+import grafn.trainer as trainer
+from grafn import TrainConfig, generate_splits, random_dataset
+ds = random_dataset(600, num_classes=5, num_features=500, p_in=0.03, p_out=0.003,
+                    feature_signal=0.04, feature_noise=0.0025, seed=8)
+faults, step = [], trainer.train_step
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    row = step(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return row
+trainer.train_step = counted
+trainer.fit(ds, generate_splits(ds, 0.05, 1, base_seed=1)[0],
+            TrainConfig(hidden_dim=128, embed_dim=128, max_epochs=20, dropout=0.5,
+                        learning_rate=0.01, seed=2))
+print(sum(faults[5:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_fresh_process_steps_do_not_fault_their_arrays_in_again():
+    """In a fresh process, the steps after the first few take their 600 x 128
+    arrays from memory the process already holds: the 15 steps past the
+    fifth take under 1,500 minor page faults in all (40-180 measured), where
+    a heap that glibc trims at the end of every step takes 6,000-11,000."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", STEP_FAULTS_FIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert int(proc.stdout) < 1500
 
 
 def test_fit_sparse_dense_paths_both_run(tiny_setup):
