@@ -290,22 +290,11 @@ def cmd_gradcheck(args) -> int:
         encoder, head = init_params(tape, ds.num_features, 6, 6, ds.class_count,
                                     0.2, rng0)
         cfg = TrainConfig(nu=nu)
-        frozen: list = []
 
-        def target(tape, p, frozen=frozen):
-            # the stop-gradient target is a constant of the step: record it
-            # at the base parameters, then hold it while differencing
-            if not frozen:
-                frozen.append(tape.detach(p))
-            return frozen[0]
+        def build(tape=tape, cfg=cfg, encoder=encoder, head=head):
+            return build_step_loss(tape, ds, split, encoder, head, cfg,
+                                   np.random.default_rng(args.seed + 1), features, unlabeled)[0]
 
-        def build(cfg=cfg, target=target, encoder=encoder, head=head):
-            total, _ = build_step_loss(tape, ds, split, encoder, head, cfg,
-                                       np.random.default_rng(args.seed + 1), features,
-                                       unlabeled, target=target)
-            return total
-
-        build()
         err = finite_diff_check(tape, build)
         worst = max(worst, err)
         print(f"nu={nu}: max relative gradient error {err:.3e}")

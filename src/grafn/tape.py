@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class Tape:
     """Operation recorder and parameter registry for one training run."""
 
     def __init__(self):
-        self._records: list[tuple[SimpleNamespace, Callable[[np.ndarray], None]]] = []
+        # (output slot, backward closure yielding (input slot, gradient) pairs)
+        self._records: list[tuple[SimpleNamespace, Callable[[np.ndarray], Iterator[tuple]]]] = []
         self._step = 0
         self.parameters: dict[str, Tensor] = {}
 

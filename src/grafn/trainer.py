@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -94,7 +93,6 @@ def build_step_loss(
     rng: np.random.Generator,
     features: np.ndarray | SparseFeatures,
     unlabeled: np.ndarray,
-    target: Callable[[Tape, Tensor], Tensor] | None = None,
 ) -> tuple[Tensor, tuple[float, float, float, float]]:
     """Assemble the full objective for one step on a fresh tape graph, from
     `prepare_features(ds, cfg)` and the nodes outside `split.labeled`.
@@ -102,12 +100,6 @@ def build_step_loss(
     Draw order (fixed so that coefficient-only config changes see identical
     randomness): weak view, strong view, weak encode, strong encode, support
     sample.
-
-    `target(tape, p)` maps the live weak-view SNN distribution `p` to the
-    L_LC target; the default target comes from the detached weak view and
-    records nothing. Gradient checks pass a hook that records the target and
-    then returns it frozen, because finite differences of the step objective
-    must hold the stop-gradient branch constant, exactly as the optimizer sees it.
     """
     tape.new_step()
 
@@ -123,8 +115,7 @@ def build_step_loss(
 
     support = sample_support(split, ds.labels, ds.class_count, rng)
     p_pred = snn_distribution(tape, u_s, support, cfg.tau)
-    p_target = (snn_distribution(tape, tape.detach(u_w), support, cfg.tau) if target is None
-                else target(tape, snn_distribution(tape, u_w, support, cfg.tau)))
+    p_target = snn_distribution(tape, tape.detach(u_w), support, cfg.tau)
     v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
 

@@ -202,13 +202,12 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
         enc2, head2 = init_params(t2, ds.num_features, 6, 6, ds.class_count, 0.1,
                                   np.random.default_rng(5))
         with monkeypatch.context() as m:
-            target = None
             if variant == "live":
                 m.setattr(trainer, "label_consistency_loss", undetached_label_consistency)
-                target = lambda tape, p: p
+                m.setattr(Tape, "detach", lambda tape, x: x)
             total, _ = build_step_loss(
                 t2, ds, split, enc2, head2, TrainConfig(nu=0.0), np.random.default_rng(6),
-                prepare_features(ds, TrainConfig()), unlabeled, target=target,
+                prepare_features(ds, TrainConfig()), unlabeled,
             )
         t2.backward(total)
         grads[variant] = {n: p.grad.copy() for n, p in t2.parameters.items()}

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grafn import NumericsError
+from grafn.cli import GRADCHECK_TOLERANCE
 from grafn.sparse import SparseAdjacency
+from grafn.sparse_features import SparseFeatures
 from grafn.tape import Tape, Tensor
-from grafn.gradcheck import finite_diff_check
+from grafn.gradcheck import EPS, finite_diff_check
 from tests.conftest import sparse_features
-from tests.test_trainer import TAPE_KERNELS
+from tests.test_trainer import TAPE_KERNELS, wide_step_check
 
 
 def rand(rng, *shape):
@@ -419,6 +421,112 @@ def test_finite_diff_check_detects_broken_gradient():
 
     err = finite_diff_check(tape, build)
     assert err > 0.1
+
+
+def backward_yielding(kernel, edit):
+    """`Tape.<kernel>` whose backward yields edit(g, gradient) in place of
+    each gradient it computes from the upstream g."""
+    raw = getattr(Tape, kernel)
+
+    def edited(self, *args):
+        out = raw(self, *args)
+        if out.requires_grad:
+            slot, backprop = self._records[-1]
+            self._records[-1] = (slot, lambda g: ((t, edit(g, new)) for t, new in backprop(g)))
+        return out
+
+    return edited
+
+
+def backward_flipping_w1_row(raw=Tape.backward):
+    def backward(self, loss):
+        raw(self, loss)
+        self.parameters["enc.w1"].grad[0] *= -1.0
+
+    return backward
+
+
+def drop_keeping_full_grad(raw=SparseFeatures.drop_entries):
+    def drop_entries(self, p, rng):
+        dropped = raw(self, p, rng)
+        dropped.grad_right = self.grad_right
+        return dropped
+
+    return drop_entries
+
+
+# Each broken gradient, as (class, attribute, replacement), with its readings
+# at nu = 0 and 0.9: 0.65 / 0.35, 1.0 / 1.0, 1.48 / 1.01, 6.1e-2 / 1.1e-2.
+MUTATIONS = {
+    "w1_row_sign_flipped": (Tape, "backward", backward_flipping_w1_row()),
+    "bias_row_not_summed": (Tape, "add", backward_yielding(
+        "add", lambda g, new: g[:1] if new.shape != g.shape else new)),
+    "grad_right_on_undropped_x": (SparseFeatures, "drop_entries", drop_keeping_full_grad()),
+    "softmax_backward_scaled": (Tape, "softmax_rows", backward_yielding(
+        "softmax_rows", lambda g, new: 1.01 * new)),
+}
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.9])
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_finite_diff_check_detects_mutations_at_training_shape(monkeypatch, mutation, nu):
+    """Meta-test at 600 nodes with CSR features and width 128: each broken
+    gradient reads above the `grafn gradcheck` tolerance."""
+    monkeypatch.setattr(*MUTATIONS[mutation])
+    err = wide_step_check(nu)
+    assert err > GRADCHECK_TOLERANCE, f"{mutation}: {err:.3e}"
+
+
+def test_finite_diff_check_refuses_to_pass_on_nothing():
+    """A 1 x 1 parameter 0.75 EPS above a ReLU corner: fd(EPS) = 0.875 and
+    fd(EPS / 2) = 1.0, so every direction is skipped, and that is an error."""
+    tape = Tape()
+    w = tape.parameter(np.array([[0.75 * EPS]]), "w")
+    with pytest.raises(NumericsError, match="directions cross a kink"):
+        finite_diff_check(tape, lambda: tape.mean(tape.relu(w)))
+    assert "detach" not in vars(tape)
+    assert w.data.tolist() == [[0.75 * EPS]]
+
+
+def test_finite_diff_check_holds_detached_values():
+    """A stop-gradient value is held at its base value while differencing,
+    so the check verifies the gradient `backward` computes; the tape's own
+    `detach` is back afterwards."""
+    rng = np.random.default_rng(29)
+    tape = Tape()
+    w = tape.parameter(rand(rng, 4, 3), "w")
+
+    def build():
+        return tape.cross_entropy_rows(tape.detach(tape.softmax_rows(w)),
+                                       tape.softmax_rows(tape.scale(w, 0.5)))
+
+    assert 0.0 < finite_diff_check(tape, build) < 1e-7
+    assert "detach" not in vars(tape)
+    assert tape.detach(w).requires_grad is False
+
+
+@pytest.mark.parametrize("detached", [
+    lambda tape, w, n: [w] * (n % 2),
+    lambda tape, w, n: [w] * (1 + (n > 1)),
+    lambda tape, w, n: [w if n == 1 else tape.gather_rows(w, [0])],
+], ids=["fewer", "more", "reshaped"])
+def test_finite_diff_check_rejects_changing_detached_values(detached):
+    """The values to hold are those of the first evaluation; another count
+    or shape later means the loss is not the same function."""
+    tape = Tape()
+    w = tape.parameter(np.ones((2, 2)), "w")
+    calls = []
+
+    def build():
+        calls.append(None)
+        loss = tape.mean(w)
+        for x in detached(tape, w, len(calls)):
+            loss = tape.add(loss, tape.mean(tape.detach(x)))
+        return loss
+
+    with pytest.raises(NumericsError, match="not deterministic"):
+        finite_diff_check(tape, build)
+    assert "detach" not in vars(tape)
 
 
 def test_nondeterministic_loss_detected():
