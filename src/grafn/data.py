@@ -7,7 +7,7 @@ inference path calls `grafn.data.normalize_adjacency`.
 Dataset directory format (text, UTF-8, LF):
     graph.edges   one "src dst" pair per line, 0-indexed, src < dst, an
                   unweighted edge; a repeated line collapses to one edge
-    features.tsv  N lines of F tab-separated reals
+    features.tsv  N lines of F tab-separated finite reals
     labels.txt    N lines, one integer in [0, C)
     meta.json     {"name", "num_nodes", "num_features", "num_classes"}
                   (extra keys such as converter statistics are permitted)
@@ -48,14 +48,6 @@ class GraphDataset:
 
     def label_ids(self) -> np.ndarray:
         return self.labels
-
-    def validate(self) -> None:
-        """Raise DataError at the first non-finite feature."""
-        finite = np.isfinite(self.features)
-        if not finite.all():
-            node, feature = np.argwhere(~finite)[0]
-            raise DataError(f"node {node} feature {feature} is not finite: "
-                            f"{self.features[node, feature]}")
 
 
 @dataclass
@@ -183,16 +175,19 @@ def _read_binary_features(path: str, n: int, f: int) -> np.ndarray | None:
     return None
 
 
-def _read_features(path: str, n: int, f: int) -> tuple[np.ndarray, bool]:
-    """`_read_binary_features`, else `_read_text_features`; the flag is True
-    for the text path, whose values may still be non-finite."""
-    binary = _read_binary_features(path, n, f)
-    return (_read_text_features(path, n, f), True) if binary is None else (binary, False)
+def _check_finite(features: np.ndarray) -> None:
+    """Raise DataError at the first non-finite feature."""
+    finite = np.isfinite(features)
+    if not finite.all():
+        node, feature = np.argwhere(~finite)[0]
+        raise DataError(f"node {node} feature {feature} is not finite: "
+                        f"{features[node, feature]}")
 
 
 def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
     """numpy's reader parses the non-empty rows; a file it rejects, or one of
-    the wrong shape, is walked row by row and its first fault raised."""
+    the wrong shape, is walked row by row and its first fault raised. A
+    non-finite cell is a fault too."""
     text = _read_text(path)
     rows = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line]
     # numpy strips \x1c-\x1f around a cell, float() does not; numpy warns on no rows
@@ -201,6 +196,7 @@ def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
             features = np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
                                   ndmin=2)
             if features.shape == (n, f):
+                _check_finite(features)
                 return features
     for i, (lineno, line) in enumerate(rows):
         cols = line.count("\t") + 1
@@ -236,7 +232,9 @@ def load_dataset(directory: str) -> GraphDataset:
         raise DataError(f"{meta_path}: N, F, C must be positive")
 
     features_path = os.path.join(directory, "features.tsv")
-    features, from_text = _read_features(features_path, n, f)
+    features = _read_binary_features(features_path, n, f)
+    if features is None:
+        features = _read_text_features(features_path, n, f)
 
     labels_path = os.path.join(directory, "labels.txt")
     label_ids = _int_array(labels_path, 1)
@@ -276,12 +274,9 @@ def load_dataset(directory: str) -> GraphDataset:
                 raise DataError(f"{edges_path}:{lineno}: src must be < dst")
             edges.append((src, dst))
 
-    ds = GraphDataset(adj=SparseAdjacency.from_edges(n, edges), features=features,
-                      labels=np.ravel(np.asarray(label_ids, dtype=np.int64)), class_count=c,
-                      name=str(meta["name"]))
-    if from_text:  # byte-read features are 0.0 and 1.0: no finite scan
-        ds.validate()
-    return ds
+    return GraphDataset(adj=SparseAdjacency.from_edges(n, edges), features=features,
+                        labels=np.ravel(np.asarray(label_ids, dtype=np.int64)), class_count=c,
+                        name=str(meta["name"]))
 
 
 def write_dataset(ds: GraphDataset, directory: str, extra_meta: dict | None = None) -> None:
@@ -300,7 +295,7 @@ def write_dataset(ds: GraphDataset, directory: str, extra_meta: dict | None = No
     bits = np.ascontiguousarray(ds.features, dtype=np.float64).view(np.uint64)
     ones = bits == np.float64(1.0).view(np.uint64)
     with open(os.path.join(directory, "features.tsv"), "wb") as fh:
-        if (ones | (bits == 0)).all():  # +0.0 and 1.0 only: the byte path of _read_features
+        if (ones | (bits == 0)).all():  # +0.0 and 1.0 only: what _read_binary_features reads
             # each cell is repr(float(v)) and a tab, or LF at a row's end; '1' is '0' | 1
             cells = ones.astype("<u4")
             cells |= np.frombuffer(b"0.0\t" * (ds.num_features - 1) + b"0.0\n", "<u4")
@@ -330,7 +325,6 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     indices in lexicographic order; cites lines with an endpoint missing
     from content are dropped (counted in the summary).
     """
-    node_order: list[str] = []
     node_index: dict[str, int] = {}
     feat_rows: list[list[float]] = []
     class_names: list[str] = []
@@ -350,19 +344,20 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
             )
         if node_id in node_index:
             raise DataError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
-        node_index[node_id] = len(node_order)
-        node_order.append(node_id)
+        node_index[node_id] = len(node_index)
         try:
             feat_rows.append([float(v) for v in feats])
         except ValueError as exc:
             raise DataError(f"{content_path}:{lineno}: {exc}") from exc
         class_names.append(cls)
 
-    if not node_order:
+    if not node_index:
         raise DataError(f"{content_path}: no nodes")
+    features = np.asarray(feat_rows, dtype=np.float64)
+    _check_finite(features)
     classes = sorted(set(class_names))
     class_to_idx = {name: i for i, name in enumerate(classes)}
-    n = len(node_order)
+    n = len(node_index)
 
     raw_lines = 0
     pairs = []  # (i, j) of each citation whose ids are both known
@@ -378,12 +373,11 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
 
     ds = GraphDataset(
         adj=SparseAdjacency.from_edges(n, pairs[~loops]),
-        features=np.asarray(feat_rows, dtype=np.float64),
+        features=features,
         labels=np.array([class_to_idx[cls] for cls in class_names], dtype=np.int64),
         class_count=len(classes),
         name=os.path.basename(os.path.normpath(out_dir)) or "converted",
     )
-    ds.validate()
     summary = {
         "num_nodes": n,
         "num_features": int(ds.num_features),

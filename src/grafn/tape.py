@@ -18,12 +18,14 @@ Conventions:
     backward() sums them: in place in a new array, never in the upstream
     one, which other slots may hold;
   - backward consumes the step: it drops each record and each gradient it
-    has passed on.
+    has passed on;
+  - backward takes a loss that carries no gradient or whose record the tape
+    still holds: one from another tape, an ended step or a bare parameter
+    is refused.
 """
 
 from __future__ import annotations
 
-import weakref
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
@@ -39,15 +41,12 @@ CE_FLOOR = 1e-12  # numerical floor inside log() for cross-entropy on probabilit
 class Tensor:
     """A value on the tape: float64 ndarray plus a gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "_slot", "_origin")
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self._slot = SimpleNamespace(grad=None)
-        # (weakref to tape, step) for op outputs, None for leaves; an output
-        # does not keep its tape alive
-        self._origin = None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -79,7 +78,6 @@ class Tape:
     def __init__(self):
         # (output slot, backward closure yielding (input slot, gradient) pairs)
         self._records: list[tuple[SimpleNamespace, Callable[[np.ndarray], Iterator[tuple]]]] = []
-        self._step = 0
         self.parameters: dict[str, Tensor] = {}
 
     # -- parameter registry -------------------------------------------------
@@ -93,7 +91,6 @@ class Tape:
     def new_step(self) -> None:
         """Discard the recorded graph; parameters persist."""
         self._records.clear()
-        self._step += 1
 
     # -- recording / backward ----------------------------------------------
 
@@ -101,7 +98,6 @@ class Tape:
         out = Tensor(out_data)
         if any(t.requires_grad for t in inputs):
             out.requires_grad = True
-            out._origin = (weakref.ref(self), self._step)
             self._records.append((out._slot, backprop))
         return out
 
@@ -112,9 +108,7 @@ class Tape:
         Gradients of previous steps are cleared first; parameters that the
         loss does not reach end up with zero gradients.
         """
-        if loss._origin is not None and (
-            loss._origin[0]() is not self or loss._origin[1] != self._step
-        ):
+        if loss.requires_grad and all(s is not loss._slot for s, _ in self._records):
             raise NumericsError("loss was not produced on this tape's current step")
         for p in self.parameters.values():
             p.grad = None
@@ -130,7 +124,6 @@ class Tape:
                         target.grad = np.add(target.grad, new, out=new)
                     else:  # a 0-d product is a numpy scalar, which takes no out=
                         target.grad = target.grad + new
-        self._step += 1
         for p in self.parameters.values():
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from grafn import (
     ConfigError,
     DataError,
-    GraphDataset,
     SplitSpec,
     generate_splits,
     load_dataset,
@@ -168,6 +167,15 @@ def test_load_rejects_non_finite_feature(tmp_path, value):
         load_dataset(d)
 
 
+def test_non_finite_feature_is_reported_before_a_label_fault(tmp_path):
+    """The cells are checked while features.tsv is read, before labels.txt."""
+    d = write_toy_dir(tmp_path / "toy", [], [[1.0, 2.0], [3.0, 4.0]], [0, 0])
+    (tmp_path / "toy" / "features.tsv").write_text("1.0\t2.0\n3.0\tnan\n")
+    (tmp_path / "toy" / "labels.txt").write_text("0\n1\n")  # a label of C = 1
+    with pytest.raises(DataError, match="^node 1 feature 1 is not finite: nan$"):
+        load_dataset(d)
+
+
 @pytest.mark.parametrize("name, text, token", [
     ("labels.txt", "0\n1_0\n", "1_0"),          # digit grouping, class 10 to int()
     ("labels.txt", "0\n\u0661\n", "\u0661"),    # Arabic-Indic one, class 1 to int()
@@ -239,7 +247,7 @@ def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
         return raise_
 
     monkeypatch.setattr(data, "_int", refuse("_int"))
-    monkeypatch.setattr(GraphDataset, "validate", refuse("validate"))
+    monkeypatch.setattr(data, "_check_finite", refuse("_check_finite"))
     back = load_dataset(str(tmp_path / "written"))
     for a, b in ((back.adj.csr.indptr, ds.adj.csr.indptr),
                  (back.adj.csr.indices, ds.adj.csr.indices),
@@ -257,7 +265,7 @@ def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
             load_dataset(str(converted))
         (converted / name).write_bytes(saved)
     (converted / "features.tsv").write_text("1\t0\n0\t1\n1\t1\n")
-    with pytest.raises(AssertionError, match="^validate called$"):
+    with pytest.raises(AssertionError, match="^_check_finite called$"):
         load_dataset(str(converted))
 
 
@@ -343,6 +351,16 @@ def test_convert_rejects_non_finite_feature(tmp_path):
     content.write_text("a 1 0 ml\nb 0 inf db\n")
     (tmp_path / "x.cites").write_text("")
     with pytest.raises(DataError, match="node 1 feature 1 is not finite: inf"):
+        convert_content_cites(str(content), str(tmp_path / "x.cites"), str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_convert_reports_non_finite_feature_before_a_cites_fault(tmp_path):
+    """The content cells are checked before the cites file is read."""
+    content = tmp_path / "x.content"
+    content.write_text("a 1 0 ml\nb 0 inf db\n")
+    (tmp_path / "x.cites").write_text("a b\nb\n")  # one field on line 2
+    with pytest.raises(DataError, match="^node 1 feature 1 is not finite: inf$"):
         convert_content_cites(str(content), str(tmp_path / "x.cites"), str(tmp_path / "o"))
     assert not (tmp_path / "o").exists()
 

@@ -1,8 +1,9 @@
 """The numpy-parsed features.tsv against the line-by-line loop it replaced.
 
 `ref_read_features` is the former loop of `load_dataset`, one `float()` per
-cell, kept as an exact oracle. Files it accepts must load to the same bytes;
-files it rejects must give the same message. The one intended difference,
+cell, followed by the former finite scan of the loaded matrix, kept as an
+exact oracle. Files it accepts must load to the same bytes; files it
+rejects must give the same message. The one intended difference,
 cells that float() takes but numpy's reader does not ('1_0', non-ASCII
 digits), has its own test. Files of '0.0'/'1.0' cells, which the loader reads
 from their bytes, and near misses of them are drawn too.
@@ -44,7 +45,7 @@ from hypothesis import strategies as st
 from grafn import DataError, TrainConfig
 from grafn.data import (
     _read_binary_features,
-    _read_features,
+    _read_text_features,
     convert_content_cites,
     load_dataset,
     write_dataset,
@@ -77,12 +78,18 @@ def ref_read_features(feat_path, n, f):
             count += 1
     if count != n:
         raise DataError(f"{feat_path}: expected {n} rows, got {count}")
+    finite = np.isfinite(features)
+    if not finite.all():
+        node, feature = np.argwhere(~finite)[0]
+        raise DataError(f"node {node} feature {feature} is not finite: "
+                        f"{features[node, feature]}")
     return features
 
 
 def read_features(path, n, f):
-    """The loader's features.tsv reader, without its text-path flag."""
-    return _read_features(path, n, f)[0]
+    """The loader's features.tsv reader: the byte path, else the text path."""
+    features = _read_binary_features(path, n, f)
+    return _read_text_features(path, n, f) if features is None else features
 
 
 def ref_write_features(features, feat_path):
@@ -459,11 +466,13 @@ def test_write_dataset_matches_per_cell_writer(workdir, x):
     written = workdir / "written" / "features.tsv"
     ref_write_features(x, workdir / "reference.tsv")
     assert written.read_bytes() == (workdir / "reference.tsv").read_bytes()
-    features, from_text = _read_features(str(written), n, f)
-    assert features.tobytes() == x.tobytes()
-    # +0.0/1.0 matrices take the byte path, which skips the finite scan
+    read_back = outcome(read_features, str(written), n, f)
+    assert read_back == outcome(ref_read_features, str(written), n, f)
+    if np.isfinite(x).all():  # a NaN or inf reads back as the DataError
+        assert read_back[-1] == x.tobytes()
+    # +0.0/1.0 matrices, and only those, take the byte path
     byte_cells = np.isin(x.view(np.uint64), np.array([0.0, 1.0]).view(np.uint64))
-    assert from_text == (not byte_cells.all())
+    assert (_read_binary_features(str(written), n, f) is None) == (not byte_cells.all())
 
 
 def ref_int(text):

@@ -215,6 +215,14 @@ def test_backward_rejects_loss_from_another_tape():
         tape.backward(loss)
 
 
+def test_backward_rejects_a_bare_parameter():
+    """A parameter carries a gradient but no record of the tape's step."""
+    tape = Tape()
+    w = tape.parameter(np.ones((2, 2)), "w")
+    with pytest.raises(NumericsError, match="not produced on this tape"):
+        tape.backward(w)
+
+
 def test_dropped_tape_frees_its_outputs_without_cyclic_gc():
     gc.disable()
     try:
