@@ -5,8 +5,9 @@ Expects the classic raw files under $GRAFN_DATA_DIR/raw/:
     raw/cora.content, raw/cora.cites
     raw/citeseer.content, raw/citeseer.cites
 
-Converts them to the neutral format, runs the 20-split benchmarks, the
-ablation table, and similarity search, writing everything under results/.
+Converts them to the neutral format, then runs one 20-split ablation sweep
+per dataset, whose `full` row is the benchmark, and similarity search and
+the degree report on split 0, writing everything under results/<name>/.
 """
 
 import argparse
@@ -49,14 +50,12 @@ def main():
             sh(["convert", raw_content, raw_cites, ds_dir])
 
         out = os.path.join(args.out, name)
-        sh(["bench", ds_dir, "--rate", str(rate), "--n", str(args.splits),
-            "--bench-seed", str(args.seed), "--jobs", str(args.jobs),
-            "--out", out, "--config", config])
         sh(["ablate", ds_dir, "--rate", str(rate), "--n", str(args.splits),
             "--bench-seed", str(args.seed), "--jobs", str(args.jobs),
             "--config", config, "--out", os.path.join(out, "ablation.json")])
         sh(["split", ds_dir, "--rate", str(rate), "--n", "1",
             "--seed", str(args.seed), "--out", os.path.join(out, "splits")])
+        # refits the full config on split 0 to get a checkpoint
         sh(["train", ds_dir, os.path.join(out, "splits", "split_000.json"),
             "--config", config, "--out", os.path.join(out, "run0")])
         # both read the training config from run0/run.json

@@ -103,6 +103,8 @@ def _check_out(path: str, directory: bool) -> None:
     """Raise ConfigError unless `path` can be written as a directory (or a
     file): the nearest existing directory on the way must be writable, and a
     file may not replace a directory. Nothing is created."""
+    if not path:
+        raise ConfigError(f"cannot write {path}: the path is empty")
     target = os.path.abspath(path)
     if not directory and os.path.isdir(target):
         raise ConfigError(f"cannot write {path}: is a directory")
@@ -397,7 +399,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None):  # before any work, so no run ends unwritten
+        if getattr(args, "out", None) is not None:  # before any work, so no run ends unwritten
             _check_out(args.out, directory=args.command in ("convert", "split", "train", "bench"))
         return args.func(args)
     except ConfigError as exc:

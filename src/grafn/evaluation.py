@@ -82,13 +82,36 @@ def _fit_split(ds: GraphDataset, cfg: TrainConfig, i: int,
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(ds, cfg):
+def _worker_init(ds):
     _WORKER_CTX["ds"] = ds
-    _WORKER_CTX["cfg"] = cfg
 
 
 def _worker_fit(task):
-    return _fit_split(_WORKER_CTX["ds"], _WORKER_CTX["cfg"], *task)
+    return _fit_split(_WORKER_CTX["ds"], *task)
+
+
+def _sweep(ds: GraphDataset, label_rate: float, n_splits: int, cfgs: list[TrainConfig],
+           base_seed: int, jobs: int) -> list[BenchReport]:
+    """One report per config: fit() once per generated split, run i with seed
+    cfg.seed + i. The splits are drawn once, and jobs > 1 maps every fit,
+    config-major, over one pool of min(jobs, fits) processes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    splits = generate_splits(ds, label_rate, n_splits, base_seed)
+    tasks = [(cfg, i, split) for cfg in cfgs for i, split in enumerate(splits)]
+    if jobs > 1:
+        import multiprocessing as mp
+
+        ctx = mp.get_context("fork")
+        with ctx.Pool(min(jobs, len(tasks)), initializer=_worker_init,
+                      initargs=(ds,)) as pool:
+            rows = pool.map(_worker_fit, tasks)
+    else:
+        rows = [_fit_split(ds, *task) for task in tasks]
+    columns = [list(column) for column in zip(*rows)]  # accuracies, val_accuracies, best_epochs
+    return [BenchReport(ds.name, label_rate, [split.seed for split in splits],
+                        *(column[k * n_splits:(k + 1) * n_splits] for column in columns),
+                        config_fingerprint(cfg)) for k, cfg in enumerate(cfgs)]
 
 
 def run_benchmark(
@@ -100,32 +123,9 @@ def run_benchmark(
     jobs: int = 1,
 ) -> BenchReport:
     """fit() once per generated split; run i trains with seed cfg.seed + i.
-
-    jobs > 1 distributes splits over min(jobs, n_splits) processes; the
-    aggregate is identical to the sequential result.
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    splits = generate_splits(ds, label_rate, n_splits, base_seed)
-    if jobs > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(jobs, n_splits), initializer=_worker_init,
-                      initargs=(ds, cfg)) as pool:
-            rows = pool.map(_worker_fit, list(enumerate(splits)))
-    else:
-        rows = [_fit_split(ds, cfg, i, split) for i, split in enumerate(splits)]
-    accs, vals, epochs = (list(column) for column in zip(*rows))
-    return BenchReport(
-        dataset=ds.name,
-        label_rate=label_rate,
-        split_seeds=[split.seed for split in splits],
-        accuracies=accs,
-        val_accuracies=vals,
-        best_epochs=epochs,
-        fingerprint=config_fingerprint(cfg),
-    )
+    jobs > 1 fits the splits over one pool of min(jobs, n_splits) processes;
+    the aggregate is identical to the sequential result."""
+    return _sweep(ds, label_rate, n_splits, [cfg], base_seed, jobs)[0]
 
 
 def sim_at_k(
@@ -239,16 +239,13 @@ def ablation_suite(
     base_seed: int,
     jobs: int = 1,
 ) -> dict:
-    """Benchmark the loss-coefficient ablations over identical splits and
-    training seeds, isolating the objective change; jobs as in run_benchmark."""
-    table = {}
-    for name, lambdas in ABLATION_VARIANTS.items():
-        cfg = dataclasses.replace(base_cfg, **lambdas)
-        report = run_benchmark(ds, label_rate, n_splits, cfg, base_seed, jobs=jobs)
-        table[name] = report.to_dict()
+    """Benchmark the loss-coefficient ablations over splits and training seeds drawn
+    once: row v is run_benchmark of v's config, and jobs > 1 starts one pool in all."""
+    cfgs = [dataclasses.replace(base_cfg, **lambdas) for lambdas in ABLATION_VARIANTS.values()]
+    reports = _sweep(ds, label_rate, n_splits, cfgs, base_seed, jobs)
     return {
         "dataset": ds.name,
         "label_rate": label_rate,
         "base_seed": base_seed,
-        "variants": table,
+        "variants": {name: r.to_dict() for name, r in zip(ABLATION_VARIANTS, reports)},
     }

@@ -390,12 +390,20 @@ def test_negative_seed_zero_count_or_bad_boundaries_exits_2(data_dir, one_split,
     ["simsearch", "{ckpt}", "{data}", "--k", "5", "--out", "{tmp}"],
     ["degree-report", "{ckpt}", "{data}", "{split}", "--out", "{file}/report.json"],
     ["ablate", "{data}", "--rate", "0.1", "--n", "2", "--out", "{file}/ablate.json", *FAST],
+    ["convert", "{data}/features.tsv", "{data}/labels.txt", ""],
+    ["split", "{data}", "--rate", "0.1", "--n", "1", "--out", ""],
+    ["train", "{data}", "{split}", "--out", "", *FAST],
+    ["bench", "{data}", "--rate", "0.1", "--n", "2", "--out", "", *FAST],
+    ["simsearch", "{ckpt}", "{data}", "--k", "5", "--out", ""],
+    ["degree-report", "{ckpt}", "{data}", "{split}", "--out", ""],
+    ["ablate", "{data}", "--rate", "0.1", "--n", "2", "--out", "", *FAST],
 ], ids=["convert", "split", "train", "bench", "simsearch", "simsearch-to-directory",
-        "degree-report", "ablate"])
+        "degree-report", "ablate", "convert-empty", "split-empty", "train-empty",
+        "bench-empty", "simsearch-empty", "degree-report-empty", "ablate-empty"])
 def test_unwritable_out_exits_2_before_any_work(data_dir, one_split, trained_dir, tmp_path,
                                                 capsys, monkeypatch, argv):
-    """An output path under a regular file, or a directory where a file goes,
-    is refused before any dataset is read or split trained."""
+    """An output path under a regular file, a directory where a file goes, or
+    an empty path is refused before any dataset is read or split trained."""
     def no_fit(*args):
         raise AssertionError("fit ran before the output path was checked")
 

@@ -11,6 +11,7 @@ from grafn import (
 )
 from grafn import evaluation, trainer
 from grafn.evaluation import (
+    ABLATION_VARIANTS,
     BenchReport,
     ablation_suite,
     config_fingerprint,
@@ -169,11 +170,17 @@ def test_benchmark_parallel_matches_sequential(bench_ds):
     assert seq.to_dict() == par.to_dict()
 
 
-@pytest.mark.parametrize("jobs, n_splits, workers", [(64, 2, 2), (2, 3, 2)])
-def test_benchmark_starts_at_most_one_worker_per_split(bench_ds, monkeypatch, jobs, n_splits,
-                                                       workers):
-    """The pool is sized min(jobs, n_splits). The recording pool maps in
-    this process, so no worker starts."""
+@pytest.mark.parametrize("sweep, jobs, n_splits, workers", [
+    pytest.param("bench", 64, 2, 2, id="64-2-2"),
+    pytest.param("bench", 2, 3, 2, id="2-3-2"),
+    pytest.param("ablate", 64, 2, 8, id="ablate-64-2-8"),
+    pytest.param("ablate", 2, 3, 2, id="ablate-2-3-2"),
+])
+def test_benchmark_starts_at_most_one_worker_per_split(bench_ds, monkeypatch, sweep, jobs,
+                                                       n_splits, workers):
+    """One pool and one split draw per call, the pool sized min(jobs, fits):
+    n_splits fits for a benchmark, four per split for the ablation. The
+    recording pool maps in this process, so no worker starts."""
     import multiprocessing.context
 
     sizes = []
@@ -195,10 +202,20 @@ def test_benchmark_starts_at_most_one_worker_per_split(bench_ds, monkeypatch, jo
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool",
                         lambda ctx, *args, **kw: RecordingPool(*args, **kw))
     monkeypatch.setattr(evaluation, "_WORKER_CTX", {})
+    draws = []
+    generate_splits = evaluation.generate_splits
+    monkeypatch.setattr(evaluation, "generate_splits",
+                        lambda *args: draws.append(args) or generate_splits(*args))
     cfg = bench_cfg(max_epochs=4)
-    par = run_benchmark(bench_ds, 0.1, n_splits, cfg, base_seed=3, jobs=jobs)
-    assert sizes == [workers]
-    assert par.to_dict() == run_benchmark(bench_ds, 0.1, n_splits, cfg, base_seed=3).to_dict()
+
+    def run(**kw):
+        if sweep == "bench":
+            return run_benchmark(bench_ds, 0.1, n_splits, cfg, base_seed=3, **kw).to_dict()
+        return ablation_suite(bench_ds, 0.1, n_splits, cfg, base_seed=3, **kw)
+
+    par = run(jobs=jobs)
+    assert sizes == [workers] and len(draws) == 1
+    assert par == run()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -213,17 +230,18 @@ def test_benchmark_error_names_split_seed(bench_ds, monkeypatch, jobs):
 
 
 def test_ablation_rows_share_splits_and_reduce_correctly(bench_ds):
+    import dataclasses
+
     cfg = bench_cfg(max_epochs=6)
     table = ablation_suite(bench_ds, 0.1, 2, cfg, base_seed=4)
     variants = table["variants"]
+    assert list(variants) == list(ABLATION_VARIANTS)
     seeds = {name: tuple(v["split_seeds"]) for name, v in variants.items()}
     assert len(set(seeds.values())) == 1
-    # the supervised-only row is definitionally a zero-coefficient benchmark
-    import dataclasses
-
-    sup_cfg = dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0)
-    direct = run_benchmark(bench_ds, 0.1, 2, sup_cfg, base_seed=4)
-    assert variants["supervised_only"]["test_accuracies"] == direct.accuracies
+    # each row is, on every key, the benchmark of its variant's config
+    for name, lambdas in ABLATION_VARIANTS.items():
+        direct = run_benchmark(bench_ds, 0.1, 2, dataclasses.replace(cfg, **lambdas), base_seed=4)
+        assert variants[name] == direct.to_dict(), name
 
 
 def test_bench_report_roundtrip_dict():

@@ -1,5 +1,6 @@
 """Smoke tests for the helper scripts under scripts/."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -69,3 +70,28 @@ def test_reproduce_benchmarks_passes_convert_exit_code_through(tmp_path):
     assert proc.stdout.splitlines() == [
         f"+ convert {raw / 'cora.content'} {raw / 'cora.cites'} {tmp_path / 'data' / 'cora'}"]
     assert "cora.cites" in proc.stderr and not (tmp_path / "data" / "cora").exists()
+
+
+def test_reproduce_benchmarks_runs_one_sweep_per_dataset(tmp_path, monkeypatch):
+    """With converted datasets present, each dataset gets one `ablate` sweep
+    (its `full` row is the benchmark) and the single-split steps; no `bench`
+    refits the same runs. `sh` is replaced, so nothing runs."""
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_benchmarks", ROOT / "scripts" / "reproduce_benchmarks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    monkeypatch.setattr(script, "sh", calls.append)
+    root = tmp_path / "data"
+    for name in ("cora", "citeseer"):
+        (root / name).mkdir(parents=True)
+    monkeypatch.setattr(sys, "argv", ["reproduce_benchmarks.py", "--data-root", str(root),
+                                      "--out", str(tmp_path / "results")])
+    script.main()
+    steps = ["ablate", "split", "train", "simsearch", "degree-report"]
+    assert [args[0] for args in calls] == steps * 2
+    for name, ablate in zip(("cora", "citeseer"), (calls[0], calls[5])):
+        assert ablate[1] == str(root / name)
+        assert ablate[ablate.index("--out") + 1] == str(tmp_path / "results" / name
+                                                         / "ablation.json")
+    assert not (tmp_path / "results").exists()
