@@ -277,8 +277,8 @@ def cmd_gradcheck(args) -> int:
 
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if args.size < 8:  # fewer nodes leave the validation set empty
-        raise ConfigError(f"--size must be >= 8, got {args.size}")
+    if not 8 <= args.size <= 2000:  # fewer leave no validation set; more take ~20 n^2 bytes
+        raise ConfigError(f"--size must be in [8, 2000], got {args.size}")
     ds = random_dataset(args.size, num_classes=3, num_features=12,
                         p_in=0.3, p_out=0.1, seed=args.seed)
     splits = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)

@@ -138,12 +138,12 @@ def sim_at_k(
     excluded, ties toward the lower index) sharing the query's label.
 
     The neighbours are selected, not sorted, for QUERY_BLOCK queries at a
-    time. A row of n entries is split into g = max(k, min(128, n // 4))
-    column groups (column c in group c mod g), so k <= g < n; the k-th
-    largest of the g group maxima bounds the row's k-th largest similarity
-    from below, and `np.partition` finds that value exactly among the entries
-    at or above the bound. Only the entries at or above the k-th value are
-    ranked, those above it first and then its ties, each in index order.
+    time. A row of n entries is split into g = max(k, min(128, n // 8)) column
+    groups of about 8 entries below n = 1024 (column c in group c mod g), so
+    k <= g < n; the k-th largest of the g group maxima bounds the row's k-th
+    largest similarity from below, and `np.partition` finds it exactly among
+    the entries at or above the bound. Only the entries at or above the k-th
+    value are ranked, those above it first and then its ties, in index order.
     """
     n = z.shape[0]
     if not 1 <= k < n:
@@ -161,7 +161,7 @@ def sim_at_k(
             f"sim_at_k: embedding row {bad[0]} has zero or non-finite norm {norms[bad[0]]}"
         )
     zn = z / norms[:, None]
-    g = max(k, min(128, n // 4))
+    g = max(k, min(128, n // 8))
     full = n - n % g
     buf = np.empty((min(QUERY_BLOCK, len(query_nodes)), n), dtype=zn.dtype)
     fractions = np.empty(len(query_nodes))

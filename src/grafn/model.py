@@ -168,10 +168,9 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: parameter name is not UTF-8") from exc
         rows, cols = struct.unpack("<II", take(8))
         value = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-        bad = np.argwhere(~np.isfinite(value))
-        if bad.size:
-            raise DataError(f"{path}: parameter {name!r} holds {value[tuple(bad[0])]} "
-                            f"at {tuple(int(i) for i in bad[0])}")
+        if not np.isfinite(value).all():
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(value))[0])
+            raise DataError(f"{path}: parameter {name!r} holds {value[bad]} at {bad}")
         params[name] = value.copy()
     return params
 

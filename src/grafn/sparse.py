@@ -2,9 +2,9 @@
 renormalization.
 
 The CSR is symmetric with strictly increasing column indices per row. Only
-this module reads its index arrays. A dataset's raw adjacency is unweighted
-(every edge 1.0) with no self-loops; the diagonal enters only through
-normalize_adjacency, and degrees and edge counts leave it out.
+this module reads its index arrays. A raw adjacency is unweighted (every
+edge 1.0) with no self-loops; one cached A + I serves the renormalized clean
+graph and every edge-dropped view, and degrees and edge counts leave out I.
 """
 
 from __future__ import annotations
@@ -60,12 +60,16 @@ class SparseAdjacency:
         return np.column_stack([rows[upper], cols[upper]])
 
     @cached_property
+    def _with_self_loops(self) -> sp.csr_matrix:
+        """A + I, built once and never written: the clean graph and every view share it."""
+        return self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
+
+    @cached_property
     def _view_base(self) -> tuple[int, sp.csr_matrix, np.ndarray]:
         """(m, A + I, edge) for edge-dropped views: `edge` holds each entry's index
-        among the m undirected edges, -1 on the diagonal. A + I is built as in
-        normalize_adjacency."""
+        among the m undirected edges, -1 on the diagonal."""
         upper_keys = self.undirected_edge_list() @ [self.n, 1]
-        mat = self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
+        mat = self._with_self_loops
         rows, cols = np.repeat(np.arange(self.n), np.diff(mat.indptr)), mat.indices
         key = np.minimum(rows, cols) * self.n + np.maximum(rows, cols)
         return len(upper_keys), mat, np.where(rows == cols, -1, np.searchsorted(upper_keys, key))
@@ -74,8 +78,8 @@ class SparseAdjacency:
 def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """GCN renormalization D^-1/2 (A + I) D^-1/2: with degrees d_i of A + I
     and s_i = d_i^-1/2, each a_ij becomes a_ij * (s_i * s_j), exactly symmetric.
-    All outputs lie in (0, 1]."""
-    return _renormalize(adj.csr + sp.identity(adj.n, format="csr", dtype=np.float64))
+    All outputs lie in (0, 1]. The result shares the cached A + I's index arrays."""
+    return _renormalize(sp.csr_matrix(adj._with_self_loops, copy=False))
 
 
 def drop_and_normalize(adj: SparseAdjacency, p: float,
@@ -89,7 +93,8 @@ def drop_and_normalize(adj: SparseAdjacency, p: float,
 
 
 def _renormalize(mat: sp.csr_matrix) -> SparseAdjacency:
-    """Scale in place a CSR storing every diagonal entry; row sums as mat.sum(axis=1)."""
+    """Rebind mat.data, never write into it or the shared index arrays; every
+    diagonal entry is stored. Row sums as mat.sum(axis=1)."""
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(mat.data, mat.indptr[:-1]))
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     mat.data = mat.data * (inv_sqrt[rows] * inv_sqrt[mat.indices])

@@ -359,6 +359,7 @@ def test_config_values_have_no_flag_but_set(data_dir, one_split, trained_dir, tm
     ["gradcheck", "--seed", "-1"],
     ["gradcheck", "--size", "3"],
     ["gradcheck", "--size", "7"],
+    ["gradcheck", "--size", "2001"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0", "--out", "{out}"],
     ["bench", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "-3", "--out", "{out}"],
     ["ablate", "{data}", "--rate", "0.1", "--n", "1", "--jobs", "0"],

@@ -51,7 +51,7 @@ def sim_cases(draw):
 @given(sim_cases())
 @example((np.ones((6, 2)), np.array([0, 1, 0, 1, 2, 2]), None, 4))
 def test_sim_at_k_matches_sort_oracle_for_every_k(case):
-    """Rows of 2 to 24 entries: g = max(k, n // 4) groups of one or a few
+    """Rows of 2 to 24 entries: g = max(k, n // 8) groups of one or a few
     columns, down to a single group holding the whole row."""
     z, labels, queries, block = case
     with mock.patch.object(evaluation, "QUERY_BLOCK", block):
@@ -62,18 +62,20 @@ def test_sim_at_k_matches_sort_oracle_for_every_k(case):
 
 
 def test_sim_at_k_matches_sort_oracle_across_blocks():
-    """Heavy ties in a 700-node graph, whose 128 column groups (k of them for
-    k > 128) hold 5 or 6 entries each: all 700 queries take two blocks, and
-    for k = 50 the tied candidates cross them. With d = 1 every cosine is
-    +-1, so about half of each row ties at the bound, the widest candidate
-    rows."""
+    """Heavy ties at two sizes. A 700-node graph takes 87 column groups of 8-9
+    entries for k <= 87 (k groups above): all 700 queries take two blocks,
+    and for k = 50 the tied candidates cross them. A 300-node graph takes 37
+    groups of 8-9 entries for k <= 37, and its queries fit one block. With
+    d = 1 every cosine is +-1, so about half of each row ties at the bound,
+    the widest candidate rows."""
     rng = np.random.default_rng(5)
-    for d in (3, 1):
-        z = rng.integers(-2, 3, size=(700, d)).astype(np.float64)
-        z[np.linalg.norm(z, axis=1) == 0.0, 0] = 1.0
-        labels = rng.integers(0, 4, 700)
-        for queries in (None, rng.choice(700, 300, replace=False)):
-            for k in (1, 5, 10, 50, 127, 128, 129):
-                assert sim_at_k(z, labels, k, queries) == ref_sim_at_k(
-                    z, labels, k, queries
-                ), (d, k)
+    for n in (700, 300):
+        for d in (3, 1):
+            z = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            z[np.linalg.norm(z, axis=1) == 0.0, 0] = 1.0
+            labels = rng.integers(0, 4, n)
+            for queries in (None, rng.choice(n, 300, replace=False)):
+                for k in (1, 5, 10, 37, 38, 50, 87, 88, 127, 128, 129):
+                    assert sim_at_k(z, labels, k, queries) == ref_sim_at_k(
+                        z, labels, k, queries
+                    ), (n, d, k)

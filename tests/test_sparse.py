@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grafn.augment import drop_edges
 from grafn.sparse import SparseAdjacency, normalize_adjacency
 from tests.conftest import sparse_features
 
@@ -33,6 +34,22 @@ def test_degrees_exclude_self_loops():
     np.testing.assert_array_equal(adj.degrees(), [1, 2, 1])
     assert adj.num_undirected_edges == 2
     np.testing.assert_array_equal(adj.undirected_edge_list(), [[0, 1], [1, 2]])
+
+
+def test_clean_graph_and_views_share_one_unwritten_a_plus_i(synthetic_ds):
+    """normalize_adjacency renormalizes over the graph's cached A + I: an
+    edge-dropped view in between changes nothing, and neither writes into it."""
+    adj = synthetic_ds.adj
+    first = normalize_adjacency(adj)
+    drop_edges(adj, 0.5, np.random.default_rng(0))
+    second = normalize_adjacency(adj)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(first.csr, name).tobytes() == getattr(second.csr, name).tobytes()
+    cached = adj._with_self_loops
+    for result in (first, second):
+        assert np.shares_memory(result.csr.indices, cached.indices)
+        assert np.shares_memory(result.csr.indptr, cached.indptr)
+    assert cached.nnz == adj.csr.nnz + adj.n and np.all(cached.data == 1.0)
 
 
 def test_normalized_star_stores_no_zero_and_bottoms_at_hub_diagonal():
