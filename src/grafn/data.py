@@ -23,14 +23,16 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-exported)
+from .sparse_features import SparseFeatures
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GraphDataset:
     adj: SparseAdjacency          # raw unweighted adjacency, no self-loops
     features: np.ndarray          # N x F float64
@@ -48,6 +50,39 @@ class GraphDataset:
 
     def label_ids(self) -> np.ndarray:
         return self.labels
+
+    @cached_property
+    def prepared_features(self) -> np.ndarray | SparseFeatures:
+        """Row normalization, then CSR when at most 5% of entries are nonzero;
+        built at first read, after which it and `features` are read-only.
+
+        Only the raw nonzeros are divided by their row norms, and a quotient
+        that underflows to zero is dropped, so the CSR holds exactly the
+        nonzeros of the normalized matrix. Both passes walk row blocks of about
+        1 MiB, so no N x F temporary is made; the norms are the per-row sums of
+        np.linalg.norm(x, axis=1)."""
+        x = self.features
+        x.flags.writeable = False
+        f = x.shape[1]
+        rows = 2**17 // f + 1
+        blocks = range(0, len(x), rows)
+        norms = np.concatenate([np.sqrt(np.add.reduce(x[i:i + rows] * x[i:i + rows], axis=1))
+                                for i in blocks])
+        norms[norms == 0.0] = 1.0
+        positions, values, count = [], [], 0
+        for i in blocks:
+            nonzero = np.flatnonzero(x[i:i + rows] != 0.0)  # faster than on the floats
+            quotients = x[i:i + rows].take(nonzero) / norms[i + nonzero // f]
+            kept = quotients != 0.0
+            positions.append(nonzero[kept] + i * f)
+            values.append(quotients[kept])
+            count += len(values[-1])
+            if count / x.size > 0.05:  # the count only grows: the result is dense
+                dense = x / norms[:, None]
+                dense.flags.writeable = False
+                return dense
+        positions, values = np.concatenate(positions), np.concatenate(values)  # frees the blocks
+        return SparseFeatures.from_nonzeros(x.shape, positions, values)
 
 
 @dataclass

@@ -23,9 +23,13 @@ class SparseFeatures:
     def from_nonzeros(cls, shape: tuple[int, int], positions: np.ndarray,
                       values: np.ndarray) -> "SparseFeatures":
         """CSR of the matrix whose nonzeros sit at the sorted row-major
-        `positions`; byte for byte `sp.csr_matrix` of that dense matrix."""
+        `positions`; byte for byte `sp.csr_matrix` of that dense matrix, with
+        read-only arrays, since a dataset shares its prepared CSR."""
         indptr = np.searchsorted(positions, np.arange(shape[0] + 1) * shape[1])
-        return cls(sp.csr_matrix((values, positions % shape[1], indptr), shape))
+        csr = sp.csr_matrix((values, positions % shape[1], indptr), shape)
+        for a in (csr.data, csr.indices, csr.indptr):
+            a.flags.writeable = False
+        return cls(csr)
 
     @property
     def shape(self):

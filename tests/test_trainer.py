@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -537,12 +538,16 @@ def test_fit_bit_reproducible(tiny_setup):
     assert a.to_dict() == b.to_dict()
 
 
-def test_trained_synthetic_loss_digest_is_pinned(trained_synthetic):
+def test_trained_synthetic_loss_digest_is_pinned(trained_synthetic, synthetic_ds,
+                                                 synthetic_split):
     """The benchmark's sweep trains the same split and seed; any change to a
-    training bit shows here as well as there."""
-    _, result = trained_synthetic
-    blob = np.asarray(result.loss_history, dtype="<f8").tobytes()
-    assert hashlib.sha256(blob).hexdigest()[:16] == "fd4eadd152642d03"
+    training bit shows here as well as there. A second fit on the dataset
+    reads its prepared features from the first and keeps the bits."""
+    cfg, result = trained_synthetic
+    again = fit(synthetic_ds, synthetic_split, cfg)
+    for res in (result, again):
+        blob = np.asarray(res.loss_history, dtype="<f8").tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "fd4eadd152642d03"
 
 
 def test_sparse_feature_loss_digest_is_pinned():
@@ -569,8 +574,10 @@ ds = random_dataset(600, num_classes=5, num_features=500, p_in=0.03, p_out=0.003
 cfg = TrainConfig(hidden_dim=128, embed_dim=128, max_epochs=5, dropout=0.5,
                   learning_rate=0.01, seed=2)
 assert isinstance(prepare_features(ds, cfg), SparseFeatures)
-result = fit(ds, generate_splits(ds, 0.05, 1, base_seed=1)[0], cfg)
-print(hashlib.sha256(np.asarray(result.loss_history, dtype="<f8").tobytes()).hexdigest()[:16])
+split = generate_splits(ds, 0.05, 1, base_seed=1)[0]
+for _ in range(2):  # the second fit reads the features the first prepared
+    result = fit(ds, split, cfg)
+    print(hashlib.sha256(np.asarray(result.loss_history, dtype="<f8").tobytes()).hexdigest()[:16])
 """
 
 
@@ -584,7 +591,7 @@ def test_wide_csr_loss_digest_is_pinned():
     proc = subprocess.run([sys.executable, "-c", WIDE_CSR_FIT], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "bb12384e96d26029\n"
+    assert proc.stdout == "bb12384e96d26029\n" * 2
 
 
 STEP_FAULTS_FIT = """
@@ -688,6 +695,37 @@ def test_prepare_features_makes_no_n_by_f_temporary():
         tracemalloc.stop()
     assert isinstance(out, SparseFeatures)
     assert peak < n * f * 8 / 4
+
+
+@pytest.mark.parametrize("n", [4, 40], ids=["dense", "csr"])
+def test_prepare_features_keeps_one_read_only_copy(n):
+    """The dataset prepares its features once; after that neither they nor
+    the prepared arrays can be edited, and no field can be rebound."""
+    ds = make_dataset(n, [], [0] * n, 1, features=np.eye(n))
+    out = prepare_features(ds, TrainConfig())
+    assert prepare_features(ds, small_cfg()) is out
+    if isinstance(out, np.ndarray):
+        arrays = [out]
+    else:
+        arrays = [out._csr.data, out._csr.indices, out._csr.indptr]
+    for a in [ds.features, *arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.features = np.eye(n)
+
+
+def test_predict_after_fit_matches_a_fresh_dataset(trained_synthetic, synthetic_ds,
+                                                   synthetic_split):
+    """Inference on features that `fit` prepared equals inference on a copy
+    prepared from scratch."""
+    cfg, result = trained_synthetic
+    fresh = dataclasses.replace(synthetic_ds, features=synthetic_ds.features.copy())
+    assert prepare_features(fresh, cfg) is not prepare_features(synthetic_ds, cfg)
+    _, encoder, head = build_from_checkpoint(result.params)
+    preds = [predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg), cfg,
+                     synthetic_split.labeled, ds.labels) for ds in (synthetic_ds, fresh)]
+    np.testing.assert_array_equal(*preds)
 
 
 @st.composite
