@@ -42,7 +42,7 @@ def augment_view(
     rng: np.random.Generator,
 ) -> tuple[SparseAdjacency, np.ndarray | SparseFeatures]:
     """One stochastic view of the raw adjacency and the prepared features
-    (`trainer.prepare_features`): masked features plus the renormalized
+    (`GraphDataset.prepared_features`): masked features plus the renormalized
     adjacency of the edge-dropped graph. The mask is drawn before the edge drop.
     """
     x_view = mask_features(x, p_feature_mask, rng)

@@ -24,9 +24,8 @@ from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .gradcheck import finite_diff_check
 from .model import (build_from_checkpoint, embed, init_params, load_checkpoint, predict,
                     save_checkpoint)
-from .sparse import normalize_adjacency
 from .tape import Tape
-from .trainer import build_step_loss, fit, prepare_features
+from .trainer import build_step_loss, fit
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -68,6 +67,8 @@ def _load_run(path: str, ds):
     try:
         with open(run_path, encoding="utf-8") as fh:
             record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ConfigError("expected a JSON object")
         if "error" in record:
             raise ConfigError("training diverged, so the checkpoint beside it is not this run's")
         if "checkpoint_sha256" not in record:
@@ -216,7 +217,7 @@ def cmd_bench(args) -> int:
 def cmd_simsearch(args) -> int:
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
     encoder, _, cfg = _load_run(args.checkpoint, ds)
-    z = embed(encoder, normalize_adjacency(ds.adj), prepare_features(ds, cfg))
+    z = embed(encoder, ds)
     query_nodes = None
     if args.split:
         query_nodes = _load_split(args.split, ds).test
@@ -247,8 +248,7 @@ def cmd_degree_report(args) -> int:
     ds = load_dataset(resolve_dataset_dir(args.dataset_dir))
     encoder, head, cfg = _load_run(args.checkpoint, ds)
     split = _load_split(args.split, ds)
-    pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
-                   cfg, split.labeled, ds.labels)
+    pred = predict(encoder, head, ds, cfg, split.labeled)
     report = evaluation.degree_accuracy_report(ds, pred, split.test, boundaries)
     for row in report["buckets"]:
         acc = "null" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
@@ -281,10 +281,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--size must be in [8, 2000], got {args.size}")
     ds = random_dataset(args.size, num_classes=3, num_features=12,
                         p_in=0.3, p_out=0.1, seed=args.seed)
-    splits = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)
-    split = splits[0]
-    features = prepare_features(ds, TrainConfig())
-    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
+    split = generate_splits(ds, max(3.0 / args.size, 0.15), 1, args.seed)[0]
     worst = 0.0
     for nu in (0.0, 0.9):
         tape = Tape()
@@ -295,7 +292,7 @@ def cmd_gradcheck(args) -> int:
 
         def build(tape=tape, cfg=cfg, encoder=encoder, head=head):
             return build_step_loss(tape, ds, split, encoder, head, cfg,
-                                   np.random.default_rng(args.seed + 1), features, unlabeled)[0]
+                                   np.random.default_rng(args.seed + 1))[0]
 
         err = finite_diff_check(tape, build)
         worst = max(worst, err)

@@ -1,8 +1,8 @@
 """Dataset representation, file formats and splits.
 
-The adjacency type and its GCN normalization live in grafn.sparse;
-`normalize_adjacency` is re-exported here because the benchmark's
-inference path calls `grafn.data.normalize_adjacency`.
+A GraphDataset is the one source of a run's prepared inputs: training and
+inference read its raw adjacency (grafn.sparse caches the renormalized clean
+graph on it), its `prepared_features` and its labels.
 
 Dataset directory format (text, UTF-8, LF):
     graph.edges   one "src dst" pair per line, 0-indexed, src < dst, an
@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401 (re-exported)
+# perfbench's inference calls grafn.data.normalize_adjacency; ROADMAP item 1 deletes it
+from .sparse import SparseAdjacency, normalize_adjacency  # noqa: F401
 from .sparse_features import SparseFeatures
 
 
@@ -111,6 +112,8 @@ class SplitSpec:
         integers, "label_rate" a finite JSON number."""
         try:
             obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
             sets = {}
             for key in ("labeled", "val", "test"):
                 if not set(map(type, obj[key])) <= {int}:  # bool and float fail

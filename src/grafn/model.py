@@ -2,6 +2,8 @@
 parameters; there is no target network), linear classification head,
 `embed`, the one clean-graph encode (dropout off, nothing recorded for
 backward), and `predict`, the one node-classification path, built on it.
+Both read the dataset's renormalized clean graph and prepared features, the
+preprocessing that training sees.
 
 Checkpoint format: magic "GRAFN1", then per parameter: name length,
 name bytes, rows, cols (little-endian uint32), row-major float64 values.
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
+from .data import GraphDataset
 from .errors import DataError, NumericsError
 from .objective import SupportSet, snn_distribution
-from .sparse import SparseAdjacency
+from .sparse import SparseAdjacency, normalize_adjacency
 from .sparse_features import SparseFeatures
 from .tape import Tape, Tensor
 
@@ -93,27 +96,25 @@ def init_params(
                             np.zeros((1, num_classes))], dropout)
 
 
-def embed(encoder: GcnEncoder, adj_norm: SparseAdjacency,
-          x: np.ndarray | SparseFeatures) -> Tensor:
-    """Clean-graph embedding of `x`, dropout off; detached weights record nothing."""
+def embed(encoder: GcnEncoder, ds: GraphDataset) -> Tensor:
+    """Clean-graph embedding of `ds`, dropout off; detached weights record nothing."""
     tape = Tape()
     frozen = GcnEncoder(tape.detach(encoder.w1), tape.detach(encoder.w2), encoder.dropout)
-    return frozen.encode(tape, adj_norm, x, training=False)
+    return frozen.encode(tape, normalize_adjacency(ds.adj), ds.prepared_features,
+                         training=False)
 
 
-def predict(encoder: GcnEncoder, head: LinearHead, adj_norm: SparseAdjacency,
-            x: np.ndarray | SparseFeatures, cfg: TrainConfig, labeled: np.ndarray,
-            label_ids: np.ndarray) -> np.ndarray:
-    """Class per node from `embed` of `x` (features prepared as in
-    training): the head's argmax or, with `cfg.snn_inference`, the argmax of
-    the soft-nearest-neighbour distribution over every labeled node. Ties go
-    to the lower class. A zero embedding row stays zero, as in training, so
-    its cosines are 0."""
+def predict(encoder: GcnEncoder, head: LinearHead, ds: GraphDataset, cfg: TrainConfig,
+            labeled: np.ndarray) -> np.ndarray:
+    """Class per node from `embed` of `ds`: the head's argmax or, with
+    `cfg.snn_inference`, the argmax of the soft-nearest-neighbour distribution
+    over every labeled node. Ties go to the lower class. A zero embedding row
+    stays zero, as in training, so its cosines are 0."""
     tape = Tape()
-    z = embed(encoder, adj_norm, x)
+    z = embed(encoder, ds)
     if not cfg.snn_inference:
         return np.argmax(head.classify(tape, z).data, axis=1)
-    support = SupportSet(labeled, np.eye(head.w.data.shape[1])[label_ids[labeled]])
+    support = SupportSet(labeled, np.eye(head.w.data.shape[1])[ds.labels[labeled]])
     p = snn_distribution(tape, tape.normalize_rows(z), support, cfg.tau)
     return np.argmax(p.data, axis=1)
 

@@ -4,7 +4,8 @@ renormalization.
 The CSR is symmetric with strictly increasing column indices per row. Only
 this module reads its index arrays. A raw adjacency is unweighted (every
 edge 1.0) with no self-loops; one cached A + I serves the renormalized clean
-graph and every edge-dropped view, and degrees and edge counts leave out I.
+graph, itself cached, and every edge-dropped view; both caches are read-only.
+Degrees and edge counts leave out I.
 """
 
 from __future__ import annotations
@@ -61,8 +62,18 @@ class SparseAdjacency:
 
     @cached_property
     def _with_self_loops(self) -> sp.csr_matrix:
-        """A + I, built once and never written: the clean graph and every view share it."""
-        return self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
+        """A + I, built once and read-only: the clean graph and every view share it."""
+        mat = self.csr + sp.identity(self.n, format="csr", dtype=np.float64)
+        for a in (mat.data, mat.indices, mat.indptr):
+            a.flags.writeable = False
+        return mat
+
+    @cached_property
+    def _normalized(self) -> "SparseAdjacency":
+        """The renormalized clean graph, built once; its index arrays are A + I's."""
+        clean = _renormalize(sp.csr_matrix(self._with_self_loops, copy=False))
+        clean.csr.data.flags.writeable = False
+        return clean
 
     @cached_property
     def _view_base(self) -> tuple[int, sp.csr_matrix, np.ndarray]:
@@ -78,8 +89,8 @@ class SparseAdjacency:
 def normalize_adjacency(adj: SparseAdjacency) -> SparseAdjacency:
     """GCN renormalization D^-1/2 (A + I) D^-1/2: with degrees d_i of A + I
     and s_i = d_i^-1/2, each a_ij becomes a_ij * (s_i * s_j), exactly symmetric.
-    All outputs lie in (0, 1]. The result shares the cached A + I's index arrays."""
-    return _renormalize(sp.csr_matrix(adj._with_self_loops, copy=False))
+    All outputs lie in (0, 1]. Every call returns the graph's one read-only copy."""
+    return adj._normalized
 
 
 def drop_and_normalize(adj: SparseAdjacency, p: float,

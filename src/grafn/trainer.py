@@ -27,8 +27,8 @@ from .objective import (
     supervised_loss,
     total_loss,
 )
-from .sparse import normalize_adjacency
-from .sparse_features import SparseFeatures
+# perfbench times this name; ROADMAP item 1 deletes it
+from .sparse import normalize_adjacency  # noqa: F401
 from .tape import Tape, Tensor
 
 ADAM_BETA1 = 0.9
@@ -91,11 +91,10 @@ def build_step_loss(
     head: LinearHead,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    features: np.ndarray | SparseFeatures,
-    unlabeled: np.ndarray,
 ) -> tuple[Tensor, tuple[float, float, float, float]]:
     """Assemble the full objective for one step on a fresh tape graph, from
-    `prepare_features(ds, cfg)` and the nodes outside `split.labeled`.
+    the dataset's raw adjacency, prepared features and labels; the confident
+    set is drawn from the nodes outside `split.labeled`.
 
     Draw order (fixed so that coefficient-only config changes see identical
     randomness): weak view, strong view, weak encode, strong encode, support
@@ -103,10 +102,9 @@ def build_step_loss(
     """
     tape.new_step()
 
-    adj_w, x_w = augment_view(ds.adj, features, cfg.weak_feature_mask, cfg.weak_edge_drop,
-                              rng)
-    adj_s, x_s = augment_view(ds.adj, features, cfg.strong_feature_mask, cfg.strong_edge_drop,
-                              rng)
+    x = ds.prepared_features
+    adj_w, x_w = augment_view(ds.adj, x, cfg.weak_feature_mask, cfg.weak_edge_drop, rng)
+    adj_s, x_s = augment_view(ds.adj, x, cfg.strong_feature_mask, cfg.strong_edge_drop, rng)
     # z_w is not kept: normalize_rows' backward does not read it
     u_w = tape.normalize_rows(encoder.encode(tape, adj_w, x_w, training=True, rng=rng))
     z_s = encoder.encode(tape, adj_s, x_s, training=True, rng=rng)
@@ -116,7 +114,9 @@ def build_step_loss(
     support = sample_support(split, ds.labels, ds.class_count, rng)
     p_pred = snn_distribution(tape, u_s, support, cfg.tau)
     p_target = snn_distribution(tape, tape.detach(u_w), support, cfg.tau)
-    v_conf = confident_set(p_target.data, cfg.nu, unlabeled)
+    unlabeled = np.ones(ds.num_nodes, dtype=bool)
+    unlabeled[split.labeled] = False
+    v_conf = confident_set(p_target.data, cfg.nu, np.flatnonzero(unlabeled))
     l_lc = label_consistency_loss(tape, p_pred, p_target, ds.labels, split.labeled, v_conf)
 
     logits = head.classify(tape, z_s)
@@ -136,27 +136,18 @@ def train_step(
     moments: dict[str, tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
     step_index: int,
-    features: np.ndarray | SparseFeatures,
-    unlabeled: np.ndarray,
 ) -> tuple[float, float, float, float]:
     """Forward, backward, Adam update; returns the step's (nc, lc, sup, total)."""
-    total, row = build_step_loss(
-        tape, ds, split, encoder, head, cfg, rng,
-        features=features, unlabeled=unlabeled,
-    )
+    total, row = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
     tape.backward(total)
     adam_update(tape.parameters, moments, cfg.learning_rate, cfg.weight_decay, step_index)
     return row
 
 
-# ---------------------------------------------------------------------------
-# feature preprocessing
-
-
+# perfbench calls and times this name; ROADMAP item 1 deletes it
 def prepare_features(ds: GraphDataset, cfg: TrainConfig):
-    """`ds.prepared_features`: the dataset's one row-normalized copy, CSR
-    when sparse, built at its first use. `cfg` is unused; it is kept for
-    perfbench's two-argument call, as `GraphDataset.label_ids()` is kept."""
+    """`ds.prepared_features`, which grafn itself reads directly. `cfg` is
+    unused; it is kept for perfbench's two-argument call."""
     return ds.prepared_features
 
 
@@ -193,9 +184,6 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
         cfg.dropout, rng,
     )
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    features = prepare_features(ds, cfg)
-    adj_clean = normalize_adjacency(ds.adj)
-    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     # a step frees about ten arrays of N rows at its end; the trim threshold
     # becomes twice the block
     _keep_freed_heap(6 * 8 * ds.num_nodes * max(cfg.hidden_dim, cfg.embed_dim, ds.num_features))
@@ -208,15 +196,12 @@ def fit(ds: GraphDataset, split: SplitSpec, cfg: TrainConfig) -> RunResult:
     test_acc = 0.0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        history.append(train_step(
-            tape, ds, split, encoder, head, cfg, moments, rng, epoch,
-            features=features, unlabeled=unlabeled,
-        ))
+        history.append(train_step(tape, ds, split, encoder, head, cfg, moments, rng, epoch))
         if not np.isfinite(history[-1][3]):
             raise DivergenceError(
                 f"non-finite total loss at epoch {epoch}", history=history
             )
-        pred = predict(encoder, head, adj_clean, features, cfg, split.labeled, ds.labels)
+        pred = predict(encoder, head, ds, cfg, split.labeled)
         val_acc = float(np.mean(pred[split.val] == ds.labels[split.val]))
         val_history.append(val_acc)
         if val_acc > best_val:

@@ -34,7 +34,7 @@ from grafn.model import build_from_checkpoint, embed, init_params, predict
 from grafn.objective import SupportSet, sample_support, snn_distribution
 from grafn.sparse import normalize_adjacency
 from grafn.tape import Tape
-from grafn.trainer import build_step_loss, prepare_features
+from grafn.trainer import build_step_loss
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_ROOT = os.environ.get("GRAFN_DATA_DIR", os.path.join(ROOT, "data"))
@@ -196,7 +196,6 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
     # (b) regression on the full step objective: removing the detachment
     # changes the parameter gradients
     grads = {}
-    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
     for variant in ("detached", "live"):
         t2 = Tape()
         enc2, head2 = init_params(t2, ds.num_features, 6, 6, ds.class_count, 0.1,
@@ -207,7 +206,6 @@ def test_criterion_03_stop_gradient_semantics(monkeypatch):
                 m.setattr(Tape, "detach", lambda tape, x: x)
             total, _ = build_step_loss(
                 t2, ds, split, enc2, head2, TrainConfig(nu=0.0), np.random.default_rng(6),
-                prepare_features(ds, TrainConfig()), unlabeled,
             )
         t2.backward(total)
         grads[variant] = {n: p.grad.copy() for n, p in t2.parameters.items()}
@@ -298,7 +296,7 @@ def test_criterion_07_cora_similarity_search(cora_ds):
     split = generate_splits(cora_ds, 0.005, 1, base_seed=0)[0]
     result = fit(cora_ds, split, cfg)
     _, encoder, _ = build_from_checkpoint(result.params)
-    z = embed(encoder, normalize_adjacency(cora_ds.adj), prepare_features(cora_ds, cfg))
+    z = embed(encoder, cora_ds)
     s5 = sim_at_k(z.data, cora_ds.labels, 5)
     s10 = sim_at_k(z.data, cora_ds.labels, 10)
     report(
@@ -318,9 +316,7 @@ def test_criterion_08_cora_low_degree_gap(cora_ds):
         variant = dataclasses.replace(cfg, **lam)
         result = fit(cora_ds, split, variant)
         _, encoder, head = build_from_checkpoint(result.params)
-        pred = predict(encoder, head, normalize_adjacency(cora_ds.adj),
-                       prepare_features(cora_ds, cfg), variant, split.labeled,
-                       cora_ds.labels)
+        pred = predict(encoder, head, cora_ds, variant, split.labeled)
         rep = degree_accuracy_report(cora_ds, pred, split.test, [2, 4, 7])
         accs[name] = rep["buckets"][0]["accuracy"]
     gap = accs["grafn"] - accs["supervised"]
@@ -448,19 +444,16 @@ def synthetic_supervised_run(synthetic_ds, synthetic_split):
     return sup_cfg, fit(synthetic_ds, synthetic_split, sup_cfg)
 
 
-def _clean_embeddings(ds, cfg, result):
-    _, encoder, head = build_from_checkpoint(result.params)
-    z = embed(encoder, normalize_adjacency(ds.adj), prepare_features(ds, cfg))
-    return z.data, encoder, head
+def _clean_embeddings(ds, result):
+    _, encoder, _ = build_from_checkpoint(result.params)
+    return embed(encoder, ds).data
 
 
 def test_analog_similarity_search_on_synthetic(
     synthetic_ds, trained_synthetic, synthetic_supervised_run
 ):
-    cfg, result = trained_synthetic
-    sup_cfg, sup_result = synthetic_supervised_run
-    z_full, _, _ = _clean_embeddings(synthetic_ds, cfg, result)
-    z_sup, _, _ = _clean_embeddings(synthetic_ds, sup_cfg, sup_result)
+    z_full = _clean_embeddings(synthetic_ds, trained_synthetic[1])
+    z_sup = _clean_embeddings(synthetic_ds, synthetic_supervised_run[1])
     labels = synthetic_ds.labels
     s5, s10 = sim_at_k(z_full, labels, 5), sim_at_k(z_full, labels, 10)
     sup5 = sim_at_k(z_sup, labels, 5)
@@ -477,10 +470,8 @@ def test_analog_low_degree_gap_on_synthetic(
     sup_cfg, sup_result = synthetic_supervised_run
     accs = {}
     for tag, (c, r) in (("grafn", (cfg, result)), ("sup", (sup_cfg, sup_result))):
-        _, encoder, head = _clean_embeddings(synthetic_ds, c, r)
-        pred = predict(encoder, head, normalize_adjacency(synthetic_ds.adj),
-                       prepare_features(synthetic_ds, c), c, synthetic_split.labeled,
-                       synthetic_ds.labels)
+        _, encoder, head = build_from_checkpoint(r.params)
+        pred = predict(encoder, head, synthetic_ds, c, synthetic_split.labeled)
         rep = degree_accuracy_report(synthetic_ds, pred, synthetic_split.test, [4, 7])
         accs[tag] = rep["buckets"][0]["accuracy"]
     print(f"ANALOG (criterion 8) synthetic low-degree bucket: "

@@ -192,6 +192,9 @@ RUN_RECORD_EDITS = {
     "effective_config tau is -1": lambda record: record["effective_config"].update(tau=-1),
     "digest differs": lambda record: record.update(checkpoint_sha256="0" * 64),
     "lacks checkpoint_sha256": lambda record: record.pop("checkpoint_sha256"),
+    "run.json is a JSON string": '"no error here"',
+    "run.json is a JSON list": '["checkpoint_sha256"]',
+    "run.json is a JSON number": "42",
 }
 
 
@@ -250,6 +253,8 @@ def test_unreadable_input_exits_with_one_line_naming_the_file(data_dir, one_spli
         err = capsys.readouterr().err
         prefix = {2: "config error: ", 3: "data error: "}[code]
         assert err.startswith(prefix) and str(culprit) in err and err.count("\n") == 1
+        if case.startswith("run.json is a JSON "):
+            assert err.endswith(f"{culprit}: expected a JSON object\n")
 
 
 SPLIT_EDITS = {

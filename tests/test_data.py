@@ -555,6 +555,10 @@ SPLIT_SETS = '"labeled": [0], "val": [1], "test": [2]'
 
 @pytest.mark.parametrize("text, message", [
     ('{"seed": 1}', "'labeled'"),
+    ("null", "expected a JSON object"),
+    ('"no error here"', "expected a JSON object"),
+    ('["labeled"]', "expected a JSON object"),
+    ("42", "expected a JSON object"),
     (f'{{"seed": 1.7, "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got 1.7"),
     (f'{{"seed": true, "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got True"),
     (f'{{"seed": "7", "label_rate": 0.1, {SPLIT_SETS}}}', "'seed' must be an integer, got '7'"),

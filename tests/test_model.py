@@ -13,8 +13,8 @@ from grafn.gradcheck import finite_diff_check
 from grafn.model import build_from_checkpoint, embed, init_params
 from grafn.objective import SupportSet, snn_distribution
 from grafn.sparse import SparseAdjacency, normalize_adjacency
+from grafn.sparse_features import SparseFeatures
 from grafn.tape import Tape
-from grafn.trainer import prepare_features
 from tests.conftest import make_dataset, sparse_features
 
 
@@ -102,13 +102,15 @@ def test_encode_sparse_dense_paths_agree():
 
 @pytest.mark.parametrize("sparse_input", [False, True])
 def test_embed_records_nothing_and_equals_eval_encode(monkeypatch, sparse_input):
-    _, encoder, _ = fresh(f=10, dropout=0.5)
+    """`embed` encodes the dataset's prepared features (dense at 40% nonzero,
+    CSR at about 3%) over its renormalized clean graph."""
+    f = 120 if sparse_input else 10
+    _, encoder, _ = fresh(f=f, dropout=0.5)
     rng = np.random.default_rng(4)
-    x = (rng.random((8, 10)) < 0.4) * rng.random((8, 10))
-    x = sparse_features(x) if sparse_input else x
-    adj = normalize_adjacency(
-        SparseAdjacency.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-    )
+    x = (rng.random((8, f)) < (0.04 if sparse_input else 0.4)) * rng.random((8, f))
+    ds = make_dataset(8, [(i, (i + 1) % 8) for i in range(8)], [0] * 8, 3, features=x)
+    assert isinstance(ds.prepared_features, SparseFeatures) == sparse_input
+    adj, x = normalize_adjacency(ds.adj), ds.prepared_features
     recorded = []
     emit = Tape._emit
 
@@ -121,7 +123,7 @@ def test_embed_records_nothing_and_equals_eval_encode(monkeypatch, sparse_input)
     expected = encoder.encode(Tape(), adj, x, training=False).data
     assert sum(recorded) == 5  # the counter sees a recording encode
     recorded.clear()
-    z = embed(encoder, adj, x)
+    z = embed(encoder, ds)
     assert len(recorded) == 5 and sum(recorded) == 0
     assert z.data.tobytes() == expected.tobytes()
 
@@ -172,9 +174,7 @@ def test_classify_one_hot_head_selects_columns():
 
 
 def clean_predict(ds, encoder, head):
-    cfg = TrainConfig()
-    return predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
-                   cfg, np.arange(ds.num_nodes), ds.labels)
+    return predict(encoder, head, ds, TrainConfig(), np.arange(ds.num_nodes))
 
 
 def test_predict_tie_breaks_to_lower_class():
@@ -210,10 +210,8 @@ def test_predict_snn_zero_embedding_support_matches_training_distribution():
     encoder, head = init_params(tape, 3, 4, 4, 3, 0.0, np.random.default_rng(0))
     cfg = TrainConfig(snn_inference=True)
     labeled = np.array([0, 2, 4, 7])
-    features = prepare_features(ds, cfg)
-    adj = normalize_adjacency(ds.adj)
-    pred = predict(encoder, head, adj, features, cfg, labeled, ds.labels)
-    z = encoder.encode(tape, adj, features, training=False)
+    pred = predict(encoder, head, ds, cfg, labeled)
+    z = encoder.encode(tape, normalize_adjacency(ds.adj), ds.prepared_features, training=False)
     support = SupportSet(indices=labeled, y_support=np.eye(3)[ds.labels[labeled]])
     dist = snn_distribution(tape, tape.normalize_rows(z), support, cfg.tau)
     np.testing.assert_array_equal(pred, np.argmax(dist.data, axis=1))

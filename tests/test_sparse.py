@@ -37,19 +37,25 @@ def test_degrees_exclude_self_loops():
 
 
 def test_clean_graph_and_views_share_one_unwritten_a_plus_i(synthetic_ds):
-    """normalize_adjacency renormalizes over the graph's cached A + I: an
-    edge-dropped view in between changes nothing, and neither writes into it."""
+    """normalize_adjacency returns the graph's one renormalized clean graph,
+    built over its cached A + I: an edge-dropped view in between changes
+    nothing, a view that drops no edge is that graph, and neither the clean
+    graph nor A + I can be written."""
     adj = synthetic_ds.adj
     first = normalize_adjacency(adj)
+    data = first.csr.data.copy()
     drop_edges(adj, 0.5, np.random.default_rng(0))
     second = normalize_adjacency(adj)
-    for name in ("data", "indices", "indptr"):
-        assert getattr(first.csr, name).tobytes() == getattr(second.csr, name).tobytes()
+    assert second is first and first.csr.data.tobytes() == data.tobytes()
+    assert drop_edges(adj, 0.0, np.random.default_rng(0)) is first
     cached = adj._with_self_loops
-    for result in (first, second):
-        assert np.shares_memory(result.csr.indices, cached.indices)
-        assert np.shares_memory(result.csr.indptr, cached.indptr)
+    assert np.shares_memory(first.csr.indices, cached.indices)
+    assert np.shares_memory(first.csr.indptr, cached.indptr)
     assert cached.nnz == adj.csr.nnz + adj.n and np.all(cached.data == 1.0)
+    for mat in (first.csr, cached):
+        for name in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mat, name)[0] = 1
 
 
 def test_normalized_star_stores_no_zero_and_bottoms_at_hub_diagonal():

@@ -61,12 +61,6 @@ def tiny_setup():
     return ds, split
 
 
-def step_inputs(ds, split):
-    """What `fit` hands every step: the prepared features and the unlabeled nodes."""
-    unlabeled = np.setdiff1d(np.arange(ds.num_nodes), split.labeled)
-    return prepare_features(ds, TrainConfig()), unlabeled
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -165,8 +159,7 @@ def test_step_with_zero_lambdas_is_supervised_step(tiny_setup):
     rng = np.random.default_rng(2)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     cfg = TrainConfig(lambda1=0.0, lambda2=0.0)
-    total, (_, _, sup, row_total) = build_step_loss(tape, ds, split, encoder, head, cfg, rng,
-                                                    *step_inputs(ds, split))
+    total, (_, _, sup, row_total) = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
     assert row_total == sup
     assert total.item() == sup
 
@@ -177,8 +170,7 @@ def test_step_total_satisfies_combination_identity(tiny_setup):
     rng = np.random.default_rng(3)
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     cfg = TrainConfig(lambda1=0.5, lambda2=2.0)
-    _, (nc, lc, sup, row_total) = build_step_loss(tape, ds, split, encoder, head, cfg, rng,
-                                                   *step_inputs(ds, split))
+    _, (nc, lc, sup, row_total) = build_step_loss(tape, ds, split, encoder, head, cfg, rng)
     assert row_total == (0.5 * nc + 2.0 * lc) + sup
     assert all(np.isfinite(v) for v in (nc, lc, sup, row_total))
 
@@ -195,8 +187,7 @@ def test_step_gradcheck_full_objective(tiny_setup, layout):
         ds = random_dataset(24, num_classes=3, num_features=40, feature_signal=0.08,
                             feature_noise=0.005, seed=4)
         split = generate_splits(ds, 0.15, 1, 0)[0]
-    features, unlabeled = step_inputs(ds, split)
-    assert isinstance(features, SparseFeatures) == (layout == "csr")
+    assert isinstance(ds.prepared_features, SparseFeatures) == (layout == "csr")
     tape = Tape()
     encoder, head = init_params(
         tape, ds.num_features, 6, 6, ds.class_count, 0.2, np.random.default_rng(5)
@@ -205,7 +196,7 @@ def test_step_gradcheck_full_objective(tiny_setup, layout):
 
     def build():
         total, _ = build_step_loss(tape, ds, split, encoder, head, cfg,
-                                   np.random.default_rng(6), features, unlabeled)
+                                   np.random.default_rng(6))
         return total
 
     assert finite_diff_check(tape, build) < 1e-4
@@ -220,8 +211,7 @@ def wide_step_check(nu):
     ds = random_dataset(600, num_classes=5, num_features=300, p_in=0.02, p_out=0.002,
                         feature_signal=0.05, feature_noise=0.004, seed=3)
     split = generate_splits(ds, 0.02, 1, 0)[0]
-    features, unlabeled = step_inputs(ds, split)
-    assert isinstance(features, SparseFeatures)
+    assert isinstance(ds.prepared_features, SparseFeatures)
     cfg = TrainConfig(hidden_dim=128, embed_dim=128, dropout=0.5, nu=nu)
     tape = Tape()
     encoder, head = init_params(tape, ds.num_features, 128, 128, ds.class_count, 0.5,
@@ -229,7 +219,7 @@ def wide_step_check(nu):
 
     def build():
         total, _ = build_step_loss(tape, ds, split, encoder, head, cfg,
-                                   np.random.default_rng(6), features, unlabeled)
+                                   np.random.default_rng(6))
         return total
 
     return finite_diff_check(tape, build)
@@ -260,7 +250,7 @@ def test_node_consistency_gradcheck_ten_nodes():
     from grafn.objective import node_consistency_loss
 
     ds, split, tape, encoder, head = ten_node_setup()
-    x = prepare_features(ds, TrainConfig())
+    x = ds.prepared_features
 
     def build():
         rng = np.random.default_rng(14)
@@ -275,7 +265,6 @@ def test_node_consistency_gradcheck_ten_nodes():
 
 def test_label_consistency_gradcheck_ten_nodes_all_confident():
     """nu = 0 admits every unlabeled node, exercising both terms."""
-    from grafn.data import normalize_adjacency
     from grafn.gradcheck import finite_diff_check
     from grafn.objective import (
         confident_set,
@@ -310,8 +299,7 @@ def test_step_applies_adam(tiny_setup):
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1, rng)
     before = encoder.w1.data.copy()
     cfg = small_cfg()
-    row = train_step(tape, ds, split, encoder, head, cfg, {}, rng, 1,
-                     *step_inputs(ds, split))
+    row = train_step(tape, ds, split, encoder, head, cfg, {}, rng, 1)
     assert type(row) is tuple and [type(v) for v in row] == [float] * 4
     assert not np.array_equal(encoder.w1.data, before)
 
@@ -344,12 +332,10 @@ def test_every_tape_kernel_is_in_use(tiny_setup, monkeypatch):
     tape = Tape()
     encoder, head = init_params(tape, ds.num_features, 8, 8, ds.class_count, 0.1,
                                 np.random.default_rng(0))
-    build_step_loss(tape, ds, split, encoder, head, small_cfg(), np.random.default_rng(1),
-                    *step_inputs(ds, split))
+    build_step_loss(tape, ds, split, encoder, head, small_cfg(), np.random.default_rng(1))
     assert calls["normalize_rows"] == 2
     for snn_inference in (False, True):
-        predict(encoder, head, normalize_adjacency(ds.adj), ds.features,
-                small_cfg(snn_inference=snn_inference), split.labeled, ds.labels)
+        predict(encoder, head, ds, small_cfg(snn_inference=snn_inference), split.labeled)
     assert {name for name, n in calls.items() if n == 0} == set()
 
 
@@ -367,9 +353,8 @@ def sparse_step_setup(n=60, hidden=8, seed=4):
     tape = Tape()
     encoder, head = init_params(tape, ds.num_features, hidden, hidden, ds.class_count,
                                 cfg.dropout, np.random.default_rng(0))
-    features, unlabeled = step_inputs(ds, split)
-    assert isinstance(features, SparseFeatures)
-    return ds, split, cfg, tape, encoder, head, features, unlabeled
+    assert isinstance(ds.prepared_features, SparseFeatures)
+    return ds, split, cfg, tape, encoder, head
 
 
 @pytest.fixture()
@@ -403,8 +388,8 @@ def test_training_encode_frees_what_backward_does_not_read(monkeypatch, no_cycli
                                                            sparse_input):
     """X.W1, A.(X.W1), the ReLU output and H.W2 die inside the encode: the
     closures keep the ReLU mask and the dropped H, not the tensors."""
-    ds, _, _, tape, encoder, _, features, _ = sparse_step_setup()
-    x = features if sparse_input else ds.features
+    ds, _, _, tape, encoder, _ = sparse_step_setup()
+    x = ds.prepared_features if sparse_input else ds.features
     emitted = record_outputs(monkeypatch)
     z = encoder.encode(tape, normalize_adjacency(ds.adj), x, training=True,
                        rng=np.random.default_rng(1))
@@ -419,10 +404,9 @@ def test_training_encode_frees_what_backward_does_not_read(monkeypatch, no_cycli
 def test_backward_leaves_no_recorded_output_or_gradient(monkeypatch, no_cyclic_gc):
     """The weak view's embedding is gone before the strong view is encoded;
     after backward, only the loss and the parameter gradients are left."""
-    ds, split, cfg, tape, encoder, head, features, unlabeled = sparse_step_setup()
+    ds, split, cfg, tape, encoder, head = sparse_step_setup()
     emitted = record_outputs(monkeypatch)
-    total, _ = build_step_loss(tape, ds, split, encoder, head, cfg, np.random.default_rng(1),
-                               features, unlabeled)
+    total, _ = build_step_loss(tape, ds, split, encoder, head, cfg, np.random.default_rng(1))
     # outputs 0-5 encode the weak view, 6 is u_w, 7-12 encode the strong view
     assert [emitted[i][0] for i in (5, 6, 7)] == ["spmm", "normalize_rows", "matmul"]
     assert 5 not in emitted[7][3]
@@ -436,9 +420,8 @@ def test_backward_leaves_no_recorded_output_or_gradient(monkeypatch, no_cyclic_g
 def test_default_target_records_no_weak_view_snn_kernel():
     """The L_LC target is built from the detached weak view, so of the two
     SNN distributions only the strong view's is on the tape."""
-    ds, split, cfg, tape, encoder, head, features, unlabeled = sparse_step_setup()
-    build_step_loss(tape, ds, split, encoder, head, cfg, np.random.default_rng(1), features,
-                    unlabeled)
+    ds, split, cfg, tape, encoder, head = sparse_step_setup()
+    build_step_loss(tape, ds, split, encoder, head, cfg, np.random.default_rng(1))
     kinds = [backprop.__qualname__.split(".")[1] for _, backprop in tape._records]
     assert kinds.count("softmax_rows") == 1
 
@@ -460,12 +443,11 @@ def test_train_step_traced_peak_is_bounded():
     encoder, head = init_params(tape, ds.num_features, hidden, hidden, ds.class_count,
                                 cfg.dropout, rng)
     adam = {}
-    features, unlabeled = step_inputs(ds, split)
-    assert isinstance(features, SparseFeatures)
-    train_step(tape, ds, split, encoder, head, cfg, adam, rng, 1, features, unlabeled)
+    assert isinstance(ds.prepared_features, SparseFeatures)
+    train_step(tape, ds, split, encoder, head, cfg, adam, rng, 1)
     tracemalloc.start()
     try:
-        train_step(tape, ds, split, encoder, head, cfg, adam, rng, 2, features, unlabeled)
+        train_step(tape, ds, split, encoder, head, cfg, adam, rng, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -721,10 +703,10 @@ def test_predict_after_fit_matches_a_fresh_dataset(trained_synthetic, synthetic_
     prepared from scratch."""
     cfg, result = trained_synthetic
     fresh = dataclasses.replace(synthetic_ds, features=synthetic_ds.features.copy())
-    assert prepare_features(fresh, cfg) is not prepare_features(synthetic_ds, cfg)
+    assert fresh.prepared_features is not synthetic_ds.prepared_features
     _, encoder, head = build_from_checkpoint(result.params)
-    preds = [predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg), cfg,
-                     synthetic_split.labeled, ds.labels) for ds in (synthetic_ds, fresh)]
+    preds = [predict(encoder, head, ds, cfg, synthetic_split.labeled)
+             for ds in (synthetic_ds, fresh)]
     np.testing.assert_array_equal(*preds)
 
 
@@ -763,8 +745,7 @@ def test_prepare_features_csr_is_scipy_csr_byte_for_byte(x):
 
 def clean_accuracy(ds, encoder, head, index_set, cfg=TrainConfig(), labeled=None):
     labeled = np.arange(ds.num_nodes) if labeled is None else labeled
-    pred = predict(encoder, head, normalize_adjacency(ds.adj), prepare_features(ds, cfg),
-                   cfg, labeled, ds.labels)
+    pred = predict(encoder, head, ds, cfg, labeled)
     return float(np.mean(pred[index_set] == ds.labels[index_set]))
 
 
