@@ -36,7 +36,7 @@ from .sparse_features import SparseFeatures
 @dataclass(frozen=True, eq=False)
 class GraphDataset:
     adj: SparseAdjacency          # raw unweighted adjacency, no self-loops
-    features: np.ndarray          # N x F float64
+    features: SparseFeatures      # N x F raw values as read-only CSR
     labels: np.ndarray            # N int64 class ids in [0, class_count)
     class_count: int
     name: str
@@ -55,35 +55,24 @@ class GraphDataset:
     @cached_property
     def prepared_features(self) -> np.ndarray | SparseFeatures:
         """Row normalization, then CSR when at most 5% of entries are nonzero;
-        built at first read, after which it and `features` are read-only.
+        built at first read, and read-only.
 
-        Only the raw nonzeros are divided by their row norms, and a quotient
-        that underflows to zero is dropped, so the CSR holds exactly the
-        nonzeros of the normalized matrix. Both passes walk row blocks of about
-        1 MiB, so no N x F temporary is made; the norms are the per-row sums of
-        np.linalg.norm(x, axis=1)."""
+        The norms are those of np.linalg.norm(x, axis=1), summed over dense row
+        blocks of about 1 MiB. Only the stored values are divided by them, and a
+        quotient that is zero (of -0.0, or by underflow) is dropped, so the CSR
+        holds exactly the nonzeros of the normalized matrix."""
         x = self.features
-        x.flags.writeable = False
-        f = x.shape[1]
-        rows = 2**17 // f + 1
-        blocks = range(0, len(x), rows)
-        norms = np.concatenate([np.sqrt(np.add.reduce(x[i:i + rows] * x[i:i + rows], axis=1))
-                                for i in blocks])
+        norms = np.concatenate([np.sqrt(np.add.reduce(b * b, axis=1)) for b in x.row_blocks()])
         norms[norms == 0.0] = 1.0
-        positions, values, count = [], [], 0
-        for i in blocks:
-            nonzero = np.flatnonzero(x[i:i + rows] != 0.0)  # faster than on the floats
-            quotients = x[i:i + rows].take(nonzero) / norms[i + nonzero // f]
-            kept = quotients != 0.0
-            positions.append(nonzero[kept] + i * f)
-            values.append(quotients[kept])
-            count += len(values[-1])
-            if count / x.size > 0.05:  # the count only grows: the result is dense
-                dense = x / norms[:, None]
-                dense.flags.writeable = False
-                return dense
-        positions, values = np.concatenate(positions), np.concatenate(values)  # frees the blocks
-        return SparseFeatures.from_nonzeros(x.shape, positions, values)
+        quotients = x.data / np.repeat(norms, np.diff(x.indptr))
+        kept = np.flatnonzero(quotients != 0.0)
+        if len(kept) / (x.shape[0] * x.shape[1]) > 0.05:
+            dense = np.asarray(x)
+            dense /= norms[:, None]
+            dense.flags.writeable = False
+            return dense
+        return SparseFeatures(x.shape, quotients[kept], x.indices[kept],
+                              np.searchsorted(kept, x.indptr))
 
 
 @dataclass
@@ -193,36 +182,42 @@ def _int_array(path: str, per_line: int) -> np.ndarray | None:
     return None
 
 
-def _read_binary_features(path: str, n: int, f: int) -> np.ndarray | None:
+def _read_binary_features(path: str, n: int, f: int) -> SparseFeatures | None:
     """A file of exactly N rows of F '0.0'/'1.0' cells with LF endings, read from
-    its bytes, 4 per cell, in row blocks of about 1 MiB into the output; None
-    for any other file."""
+    its bytes, 4 per cell, in row blocks of about 1 MiB of which only the '1.0'
+    cells are kept; None for any other file."""
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 4 * n * f:
             zeros = np.frombuffer(b"0.0\t" * (f - 1) + b"0.0\n", "<u4")  # first byte lowest
             buf = np.empty((2**18 // f + 1, f), "<u4")
-            out = np.empty((n, f))
+            mask = np.empty(buf.shape, bool)
+            indices, counts = [], []
             for i in range(0, n, len(buf)):
                 cells = buf[:n - i]
-                # c ^ zeros is 0 for '0.0' and 1 for '1.0', and above 1 for any other cell
-                if (fh.readinto(cells) != cells.nbytes
-                        or np.bitwise_xor(cells, zeros, out=cells).max() > 1):
+                if fh.readinto(cells) != cells.nbytes:
                     return None
-                out[i:i + len(cells)] = cells
-            return out
+                nonzero = np.flatnonzero(np.not_equal(cells, zeros, out=mask[:n - i]))
+                indices.append((nonzero % f).astype(np.int32))
+                counts.append(np.diff(np.searchsorted(nonzero, np.arange(len(cells) + 1) * f)))
+                # c ^ zeros is 1 for '1.0', and above 1 for any other cell but '0.0'
+                if np.any(cells.ravel().take(nonzero) ^ zeros.take(indices[-1]) != 1):
+                    return None
+            indices = np.concatenate(indices)
+            return SparseFeatures((n, f), np.ones(len(indices)), indices,
+                                  np.append(0, np.cumsum(np.concatenate(counts))))
     return None
 
 
-def _check_finite(features: np.ndarray) -> None:
+def _check_finite(features: SparseFeatures) -> None:
     """Raise DataError at the first non-finite feature."""
-    finite = np.isfinite(features)
-    if not finite.all():
-        node, feature = np.argwhere(~finite)[0]
-        raise DataError(f"node {node} feature {feature} is not finite: "
-                        f"{features[node, feature]}")
+    bad = np.flatnonzero(~np.isfinite(features.data))
+    if len(bad):
+        node = np.searchsorted(features.indptr, bad[0], side="right") - 1
+        raise DataError(f"node {node} feature {features.indices[bad[0]]} is not finite: "
+                        f"{features.data[bad[0]]}")
 
 
-def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
+def _read_text_features(path: str, n: int, f: int) -> SparseFeatures:
     """numpy's reader parses the non-empty rows; a file it rejects, or one of
     the wrong shape, is walked row by row and its first fault raised. A
     non-finite cell is a fault too."""
@@ -234,6 +229,7 @@ def _read_text_features(path: str, n: int, f: int) -> np.ndarray:
             features = np.loadtxt([line for _, line in rows], delimiter="\t", comments=None,
                                   ndmin=2)
             if features.shape == (n, f):
+                features = SparseFeatures.from_dense(features)
                 _check_finite(features)
                 return features
     for i, (lineno, line) in enumerate(rows):
@@ -330,17 +326,16 @@ def write_dataset(ds: GraphDataset, directory: str, extra_meta: dict | None = No
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    bits = np.ascontiguousarray(ds.features, dtype=np.float64).view(np.uint64)
-    ones = bits == np.float64(1.0).view(np.uint64)
+    # every unstored cell is +0.0: with 1.0 stored only, what _read_binary_features reads
+    binary = (ds.features.data.view(np.uint64) == np.float64(1.0).view(np.uint64)).all()
+    zeros = np.frombuffer(b"0.0\t" * (ds.num_features - 1) + b"0.0\n", "<u4")
     with open(os.path.join(directory, "features.tsv"), "wb") as fh:
-        if (ones | (bits == 0)).all():  # +0.0 and 1.0 only: what _read_binary_features reads
-            # each cell is repr(float(v)) and a tab, or LF at a row's end; '1' is '0' | 1
-            cells = ones.astype("<u4")
-            cells |= np.frombuffer(b"0.0\t" * (ds.num_features - 1) + b"0.0\n", "<u4")
-            fh.write(cells)
-        else:
-            for row in ds.features:
-                fh.write(("\t".join(repr(float(v)) for v in row) + "\n").encode())
+        for block in ds.features.row_blocks():
+            if binary:  # each cell is repr(float(v)) and a tab, or LF at a row's end
+                fh.write((block == 1.0).astype("<u4") | zeros)  # '1' is '0' | 1
+            else:
+                for row in block:
+                    fh.write(("\t".join(repr(float(v)) for v in row) + "\n").encode())
     with open(os.path.join(directory, "labels.txt"), "w", encoding="utf-8") as fh:
         for v in ds.labels:
             fh.write(f"{int(v)}\n")
@@ -364,7 +359,7 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
     from content are dropped (counted in the summary).
     """
     node_index: dict[str, int] = {}
-    feat_rows: list[list[float]] = []
+    indices, values = [], []  # each content line's nonzero cells
     class_names: list[str] = []
     arity: int | None = None
 
@@ -384,14 +379,17 @@ def convert_content_cites(content_path: str, cites_path: str, out_dir: str) -> d
             raise DataError(f"{content_path}:{lineno}: duplicate node id {node_id!r}")
         node_index[node_id] = len(node_index)
         try:
-            feat_rows.append([float(v) for v in feats])
+            row = np.array([float(v) for v in feats])
         except ValueError as exc:
             raise DataError(f"{content_path}:{lineno}: {exc}") from exc
+        indices.append(np.flatnonzero(row.view(np.uint64)))  # -0.0 too, as from_dense keeps it
+        values.append(row[indices[-1]])
         class_names.append(cls)
 
     if not node_index:
         raise DataError(f"{content_path}: no nodes")
-    features = np.asarray(feat_rows, dtype=np.float64)
+    features = SparseFeatures((len(node_index), arity), np.concatenate(values),
+                              np.concatenate(indices), np.cumsum([0, *map(len, indices)]))
     _check_finite(features)
     classes = sorted(set(class_names))
     class_to_idx = {name: i for i, name in enumerate(classes)}

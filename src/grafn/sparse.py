@@ -31,11 +31,12 @@ class SparseAdjacency:
         """
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64).reshape(-1, 2)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        lo, hi = np.divmod(np.unique(lo * n + hi), n)
-        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        # scipy sorts each row's column indices; no duplicates are left to sum
-        return cls(sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
+        src, dst = pairs.T
+        # row-major keys of both orientations, sorted: each row's columns increase
+        keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # faster than np.unique
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return cls(sp.csr_matrix((np.ones(len(keys)), keys % n, indptr), shape=(n, n)))
 
     @property
     def n(self) -> int:

@@ -13,6 +13,7 @@ import numpy as np
 from .data import GraphDataset
 from .errors import DataError
 from .sparse import SparseAdjacency
+from .sparse_features import SparseFeatures
 
 
 def random_dataset(
@@ -61,7 +62,7 @@ def random_dataset(
 
     return GraphDataset(
         adj=SparseAdjacency.from_edges(n, edges),
-        features=features,
+        features=SparseFeatures.from_dense(features),
         labels=classes,
         class_count=num_classes,
         name=name,

@@ -16,7 +16,7 @@ def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=N
         features[np.arange(n), label_ids % num_features] = 1.0
     return GraphDataset(
         adj=SparseAdjacency.from_edges(n, edges),
-        features=np.asarray(features, dtype=np.float64),
+        features=SparseFeatures.from_dense(features),
         labels=label_ids,
         class_count=num_classes,
         name=name,
@@ -24,10 +24,9 @@ def make_dataset(n, edges, label_ids, num_classes, num_features=None, features=N
 
 
 def sparse_features(x):
-    """The CSR of a dense matrix, through the constructor `prepare_features` uses."""
-    x = np.asarray(x, dtype=np.float64)
-    nonzero = np.flatnonzero(x)
-    return SparseFeatures.from_nonzeros(x.shape, nonzero, x.ravel()[nonzero])
+    """The CSR of a dense matrix's nonzeros, as `prepare_features` stores them:
+    a -0.0 cell is not stored."""
+    return SparseFeatures.from_dense(np.where(np.asarray(x) == 0.0, 0.0, x))
 
 
 # A planted-partition regime where six labeled nodes are not enough for the

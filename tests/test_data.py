@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -5,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from grafn import (
 from grafn import data
 from grafn.data import convert_content_cites, degree_buckets
 from grafn.sparse import SparseAdjacency, normalize_adjacency
+from grafn.sparse_features import SparseFeatures
 from tests.conftest import SYNTH_KW, make_dataset
 
 
@@ -202,9 +205,11 @@ def test_binary_features_are_read_without_numpys_reader(tmp_path, monkeypatch):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    assert load_dataset(str(tmp_path / "written")).features.tobytes() == ds.features.tobytes()
+    assert (np.asarray(load_dataset(str(tmp_path / "written")).features).tobytes()
+            == np.asarray(ds.features).tobytes())
     converted = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert load_dataset(str(tmp_path / "converted")).features.tobytes() == converted.tobytes()
+    assert (np.asarray(load_dataset(str(tmp_path / "converted")).features).tobytes()
+            == converted.tobytes())
     tsv = tmp_path / "written" / "features.tsv"
     tsv.write_text("0.5" + tsv.read_text()[3:])  # same size, one cell not 0/1
     with pytest.raises(AssertionError, match="np.loadtxt called"):
@@ -213,8 +218,8 @@ def test_binary_features_are_read_without_numpys_reader(tmp_path, monkeypatch):
 
 def test_binary_features_load_within_a_block_of_the_output(tmp_path):
     """A 0/1 features.tsv of eight 1 MiB blocks loads at a traced peak under
-    the N x F float64 output plus 2 MiB: the file is read a block at a time
-    into the output, never whole."""
+    the CSR's stored bytes plus 2 MiB: the file is read a block at a time, of
+    which only the '1.0' positions are kept, and no N x F array is made."""
     n, f = 1000, 2000
     x = (np.random.default_rng(0).random((n, f)) < 0.02).astype(np.float64)
     write_dataset(make_dataset(n, [(0, 1)], [0] * n, 1, features=x), str(tmp_path))
@@ -224,8 +229,9 @@ def test_binary_features_load_within_a_block_of_the_output(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.features.tobytes() == x.tobytes()
-    assert peak < n * f * 8 + 2 * 2**20
+    assert np.asarray(ds.features).tobytes() == x.tobytes()
+    stored = sum(a.nbytes for a in (ds.features.data, ds.features.indices, ds.features.indptr))
+    assert peak < stored + 2 * 2**20
 
 
 def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
@@ -252,7 +258,9 @@ def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
     for a, b in ((back.adj.csr.indptr, ds.adj.csr.indptr),
                  (back.adj.csr.indices, ds.adj.csr.indices),
                  (back.adj.csr.data, ds.adj.csr.data),
-                 (back.labels, ds.labels), (back.features, ds.features)):
+                 (back.labels, ds.labels), (back.features.data, ds.features.data),
+                 (back.features.indices, ds.features.indices),
+                 (back.features.indptr, ds.features.indptr)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     small = load_dataset(str(converted))
     np.testing.assert_array_equal(small.labels, [1, 0, 1])
@@ -271,13 +279,44 @@ def test_canonical_labels_and_edges_are_read_as_arrays(tmp_path, monkeypatch):
 
 def test_write_load_roundtrip_is_identity(tmp_path):
     ds = random_dataset(25, num_classes=3, num_features=6, seed=5)
-    ds.features[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # signed zero, subnormal, 17 digits
+    x = np.asarray(ds.features)
+    x[0, :3] = [-0.0, 5e-324, 0.1 + 0.2]  # signed zero, subnormal, 17 digits
+    ds = dataclasses.replace(ds, features=SparseFeatures.from_dense(x))
+    assert ds.features.data[:3].tobytes() == x[0, :3].tobytes()  # -0.0 is stored
     write_dataset(ds, str(tmp_path / "rt"))
     back = load_dataset(str(tmp_path / "rt"))
-    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.asarray(back.features).tobytes() == x.tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.adj.csr.toarray(), ds.adj.csr.toarray())
     assert back.name == ds.name
+
+
+def test_features_are_read_only_csr_that_np_asarray_densifies(tmp_path):
+    """Loaded (text and byte path), converted and random datasets hold their
+    features as CSR over read-only arrays, a -0.0 cell among the stored ones,
+    and np.asarray gives the dense matrix bit for bit."""
+    x = np.array([[1.0, -0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 3.0]])
+    text = write_toy_dir(tmp_path / "text", [(0, 1)], x.tolist(), [0, 1, 0])
+    (tmp_path / "x.content").write_text("a 1 -0.0 0 ml\nb 0 0 0 db\nc 0.25 0 3 ml\n")
+    (tmp_path / "x.cites").write_text("a b\n")
+    convert_content_cites(str(tmp_path / "x.content"), str(tmp_path / "x.cites"),
+                          str(tmp_path / "converted"))
+    rand = random_dataset(**SYNTH_KW)
+    f = rand.features
+    dense = sp.csr_matrix((f.data, f.indices, f.indptr), f.shape).toarray()
+    assert set(f.data) == {1.0} and dense.sum() == len(f.data)
+    write_dataset(rand, str(tmp_path / "binary"))
+    for features, want, stored in (
+            (load_dataset(text).features, x, 4),
+            (load_dataset(str(tmp_path / "converted")).features, x, 4),
+            (f, dense, len(f.data)),
+            (load_dataset(str(tmp_path / "binary")).features, dense, len(f.data))):
+        assert isinstance(features, SparseFeatures) and len(features.data) == stored
+        got = np.asarray(features)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for a in (features.data, features.indices, features.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
 
 @pytest.mark.parametrize("kwargs, prefix", [

@@ -102,7 +102,7 @@ def ref_write_features(features, feat_path):
 def outcome(read, path, n, f):
     """('ok', bytes, shape) or ('error', message)."""
     try:
-        x = read(path, n, f)
+        x = np.asarray(read(path, n, f))
     except DataError as exc:
         return ("error", str(exc))
     except UnicodeDecodeError as exc:  # the reference's open(); loaders name the file
@@ -277,9 +277,10 @@ def binary_bytes(bits):
 
 def same_binary_read(path, n, f):
     got, want = _read_binary_features(str(path), n, f), ref_read_binary_features(str(path), n, f)
-    if want is None:
-        return got is None
-    return got is not None and (got.dtype, got.shape, got.tobytes()) == (
+    if want is None or got is None:
+        return got is want
+    got = np.asarray(got)
+    return (got.dtype, got.shape, got.tobytes()) == (
         want.dtype, want.shape, want.tobytes())
 
 

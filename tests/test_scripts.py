@@ -30,7 +30,7 @@ def test_make_synthetic_writes_random_dataset(tmp_path):
     assert back.name == expected.name and back.class_count == 4
     assert back.labels.dtype == np.int64
     np.testing.assert_array_equal(back.labels, expected.labels)
-    assert back.features.tobytes() == expected.features.tobytes()
+    assert np.asarray(back.features).tobytes() == np.asarray(expected.features).tobytes()
     np.testing.assert_array_equal(back.adj.undirected_edge_list(),
                                   expected.adj.undirected_edge_list())
     assert proc.stdout == (f"wrote synthetic40: 40 nodes, {expected.adj.num_undirected_edges} "

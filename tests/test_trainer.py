@@ -493,7 +493,9 @@ def test_fit_history_satisfies_combination_identity(tiny_setup):
 
 def test_fit_divergence_guard_saves_history():
     ds = random_dataset(16, num_classes=2, num_features=8, seed=9)
-    ds.features[0, 0] = np.nan  # survives row normalization: forward goes non-finite
+    x = np.asarray(ds.features)
+    x[0, 0] = np.nan  # survives row normalization: forward goes non-finite
+    ds = dataclasses.replace(ds, features=SparseFeatures.from_dense(x))
     split = generate_splits(ds, 0.2, 1, 0)[0]
     with pytest.raises(DivergenceError) as err:
         fit(ds, split, small_cfg())
@@ -690,7 +692,7 @@ def test_prepare_features_keeps_one_read_only_copy(n):
         arrays = [out]
     else:
         arrays = [out._csr.data, out._csr.indices, out._csr.indptr]
-    for a in [ds.features, *arrays]:
+    for a in [ds.features.data, ds.features.indices, ds.features.indptr, *arrays]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -702,7 +704,8 @@ def test_predict_after_fit_matches_a_fresh_dataset(trained_synthetic, synthetic_
     """Inference on features that `fit` prepared equals inference on a copy
     prepared from scratch."""
     cfg, result = trained_synthetic
-    fresh = dataclasses.replace(synthetic_ds, features=synthetic_ds.features.copy())
+    x = SparseFeatures.from_dense(np.asarray(synthetic_ds.features))
+    fresh = dataclasses.replace(synthetic_ds, features=x)
     assert fresh.prepared_features is not synthetic_ds.prepared_features
     _, encoder, head = build_from_checkpoint(result.params)
     preds = [predict(encoder, head, ds, cfg, synthetic_split.labeled)
